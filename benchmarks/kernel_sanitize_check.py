@@ -11,7 +11,10 @@ into a child interpreter with the sanitizer runtimes preloaded and real
    the workload that exposed the unchecked writeback overflow), and
 2. a numpy-vs-array differential sweep across RADS configs, asserting
    bit-identical reports so the instrumented build is proven to be the
-   same kernel, not just a crash-free one.
+   same kernel, not just a crash-free one, and
+3. a streamed leg whose windows hand the kernel deferred Bernoulli plans
+   across a checkpoint save/resume, so the native Bernoulli draw and its
+   RNG writeback run instrumented on the chunked path.
 
 Any out-of-bounds access or UB in the C source aborts the child with a
 sanitizer report, which this parent surfaces verbatim.
@@ -40,12 +43,16 @@ SRC = REPO / "src"
 #: The child workload.  Runs under ASan+UBSan with the sanitized kernel
 #: loaded; any memory error aborts before the prints.
 _CHILD = r"""
+import os
 import sys
+import tempfile
 
+from repro.obs.metrics import using_metrics
 from repro.rads.buffer import RADSPacketBuffer
 from repro.rads.config import RADSConfig
 from repro.sim.engine import ClosedLoopSimulation
 from repro.sim.kernel import load_kernel
+from repro.sim.streaming import resume_stream
 from repro.traffic.arbiters import RandomArbiter
 from repro.traffic.arrivals import BernoulliArrivals
 
@@ -89,6 +96,36 @@ for num_queues, granularity, seed, weights in (
               f"seed={seed}", file=sys.stderr)
         sys.exit(4)
 print("differential ok")
+
+# 3. Streamed deferred windows across a checkpoint save/resume: 1000-slot
+# chunks cut at mid-chunk marks (1700, 3400) and at the warmup boundary
+# (1300) make 7 windows, plus 2 after resuming at 3400; every window is at
+# least 192 slots, so the kernel draws each one's Bernoulli plan natively.
+def make_stream_sim():
+    return ClosedLoopSimulation(
+        RADSPacketBuffer(RADSConfig(num_queues=16, granularity=4)),
+        BernoulliArrivals(16, load=0.85, seed=23),
+        RandomArbiter(16, seed=24, load=0.9))
+
+stream_kw = dict(chunk_slots=1000, warmup_slots=1300, checkpoint_every=1700)
+with tempfile.TemporaryDirectory() as tmpdir:
+    path = os.path.join(tmpdir, "deferred.ckpt.json")
+    with using_metrics() as registry:
+        streamed = make_stream_sim().run_stream(
+            5000, engine="numpy", checkpoint_path=path, **stream_kw)
+        resumed = resume_stream(path)
+    want = make_stream_sim().run_stream(
+        5000, engine="array", checkpoint_path=os.path.join(tmpdir, "array"),
+        **stream_kw)
+deferred = registry.counter("engine.numpy.deferred_spans")
+if deferred != 9 or registry.counter("engine.numpy.kernel_spans") < 9:
+    print(f"STREAMED LEG DID NOT RUN DEFERRED: {deferred} deferred spans",
+          file=sys.stderr)
+    sys.exit(4)
+if streamed != want or resumed != want:
+    print("DIFFERENTIAL MISMATCH: streamed deferred windows", file=sys.stderr)
+    sys.exit(4)
+print("streamed ok")
 print("SANITIZE CHECK PASSED")
 """
 

@@ -316,6 +316,12 @@ class _ArrayCoreBase:
         self.dropped = 0
         self.hist = {}
 
+    def deferred_plan(self, num_slots: int):
+        """A plan for the next ``num_slots`` slots that the core draws
+        itself, or ``None`` when the caller must materialize one — always,
+        on the array cores."""
+        return None
+
     def _check_not_finished(self) -> None:
         if self.finished:
             raise StaleSimulationError(

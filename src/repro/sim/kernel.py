@@ -11,13 +11,13 @@ keyed by a hash of the source and the interpreter/platform tags, and loaded
 through :mod:`ctypes` — no ``Python.h``, no build backend, no wheels.
 
 The kernel executes whole spans natively: it resumes the arbiter's (and,
-for monolithic Bernoulli runs, the arrival process's) Mersenne Twister from
-the ``random.Random`` state, runs the exact RADS slot loop on flat copies
-of the core's state, and hands back the mutated state plus the final RNG
-words, which are applied to the python core only on success.  Failure at
-any stage — no compiler, compile error, load error, strict-mode aborts
-inside the span, or the ``REPRO_SPAN_KERNEL=0`` kill switch — falls back
-to the fused python loop on the untouched state, so the kernel is a pure
+for Bernoulli runs, monolithic or streamed, the arrival process's) Mersenne
+Twister from the ``random.Random`` state, runs the exact RADS slot loop on
+flat copies of the core's state, and hands back the mutated state plus the
+final RNG words, which are applied to the python core only on success.
+Failure at any stage — no compiler, compile error, load error, strict-mode
+aborts inside the span, or the ``REPRO_SPAN_KERNEL=0`` kill switch — falls
+back to the fused python loop on the untouched state, so the kernel is a pure
 accelerator: every result it produces is bit-identical to the scalar
 reference loop (asserted by ``tests/sim/test_numpy_engine.py``, which runs
 the suite through both paths).

@@ -78,7 +78,7 @@ from repro.sim.array_engine import (
     _ecqf_select,
     build_array_core,
 )
-from repro.traffic.arrivals import BernoulliArrivals
+from repro.traffic.arrivals import ArrivalProcess, BernoulliArrivals
 from repro.types import MissRecord
 
 #: True when the optional numpy dependency is importable.
@@ -159,16 +159,13 @@ def _gate_threshold(load: float) -> int:
 # --------------------------------------------------------------------- #
 
 def _plan_bernoulli(proc, num_slots: int):
-    """``BernoulliArrivals.arrivals(num_slots)``, vectorized and bit-exact.
-
-    Returns the plan as ``bytes`` (255 = no arrival) when every queue id
-    fits a byte, a plain ``Optional[int]`` list otherwise, or ``None`` to
-    defer to the scalar path (degenerate all-zero weights).
+    """``BernoulliArrivals.arrivals(num_slots)``, vectorized and bit-exact,
+    as plan ``bytes`` (255 = no arrival).  Only called on processes that
+    :meth:`_NumpyRADSCore.deferred_plan` accepted: every queue id fits a
+    byte and some weight is positive.
     """
     cum_weights = list(accumulate(proc.weights))
     total = cum_weights[-1] + 0.0
-    if total <= 0.0:
-        return None
     rng = proc._rng
     state = rng.getstate()
     bg = _bitgen_from(state)
@@ -190,9 +187,8 @@ def _plan_bernoulli(proc, num_slots: int):
         else:
             j += 1
     _writeback(rng, state, 2 * j)
-    wide = proc.num_queues > 254
     if not gates:
-        return [None] * num_slots if wide else b"\xff" * num_slots
+        return b"\xff" * num_slots
     g = _np.array(gates, dtype=_np.int64)
     # random.choices inline: queue = bisect(cum_weights, u * total, 0, hi).
     u = comb[g + 1].astype(_np.float64) * (1.0 / _F53)
@@ -201,11 +197,6 @@ def _plan_bernoulli(proc, num_slots: int):
                            u * total, side="right")
     # The k-th passing gate sits k pairs past its slot index.
     slots = g - _np.arange(len(gates), dtype=_np.int64)
-    if wide:
-        out: List[Optional[int]] = [None] * num_slots
-        for s, q in zip(slots.tolist(), idx.tolist()):
-            out[s] = q
-        return out
     plan = _np.full(num_slots, _NO_ARRIVAL, dtype=_np.uint8)
     plan[slots] = idx.astype(_np.uint8)
     return plan.tobytes()
@@ -214,11 +205,13 @@ def _plan_bernoulli(proc, num_slots: int):
 class _DeferredPlan:
     """A Bernoulli arrival plan that has not been drawn yet.
 
-    Monolithic runs hand this to :meth:`_NumpyRADSCore.run_span` so the
-    compiled span kernel can draw the plan natively (same words, same
-    doubles); any path that needs the materialized plan calls
-    :meth:`materialize`, which advances the process RNG exactly as the
-    scalar ``arrivals()`` call would have at this point.
+    :meth:`_NumpyRADSCore.deferred_plan` hands these out — per monolithic
+    run and per streamed window alike — so the compiled span kernel can
+    draw the plan natively (same words, same doubles).  Any path that needs
+    the materialized plan (the kernel declines the span: too short,
+    ``ERR_CAP``, a traced run, no kernel) calls :meth:`materialize`, which
+    advances the process RNG exactly as the scalar ``arrivals()`` call
+    would have at this point.
     """
 
     __slots__ = ("proc", "num_slots", "tint", "cum_weights", "total")
@@ -230,29 +223,11 @@ class _DeferredPlan:
         self.total = self.cum_weights[-1] + 0.0
         self.tint = _gate_threshold(proc.load)
 
+    def __len__(self) -> int:
+        return self.num_slots
+
     def materialize(self):
         return _plan_bernoulli(self.proc, self.num_slots)
-
-
-def _numpy_plan(sim, num_slots: int, defer: bool = False):
-    """The arrival plan for a monolithic numpy run: vectorized (or, with
-    ``defer``, left for the span kernel to draw) when the process is (a
-    subclass of) ``BernoulliArrivals`` running the stock batched method,
-    the scalar plan otherwise."""
-    if sim.arrivals is None:
-        return None
-    proc = sim.arrivals
-    if (_np is not None and num_slots > 0 and isinstance(proc, BernoulliArrivals)
-            and type(proc).arrivals is BernoulliArrivals.arrivals):
-        if defer and proc.num_queues <= 254:
-            deferred = _DeferredPlan(proc, num_slots)
-            if deferred.total > 0.0:
-                return deferred
-        else:
-            plan = _plan_bernoulli(proc, num_slots)
-            if plan is not None:
-                return plan
-    return _arrival_plan(sim, num_slots)
 
 
 # --------------------------------------------------------------------- #
@@ -264,11 +239,8 @@ def run_numpy(sim, num_slots: int, drain: bool = True):
     if num_slots < 0:
         raise ConfigurationError("num_slots must be non-negative")
     core = build_numpy_core(sim)
-    if isinstance(core, _NumpyRADSCore):
-        plan = _numpy_plan(sim, num_slots, defer=True)
-    else:
-        # CFDS (and any other fallback core) runs the scalar span loop,
-        # which consumes Optional[int] plans, never plan bytes.
+    plan = core.deferred_plan(num_slots)
+    if plan is None:
         plan = _arrival_plan(sim, num_slots)
     if (drain and isinstance(core, _NumpyRADSCore)
             and core.run_fused(plan, num_slots)):
@@ -324,13 +296,38 @@ class _NumpyRADSCore(_RADSCore):
                            for m in range(1, self.num_queues + 1)]
 
     # ------------------------------------------------------------------ #
-    def _scalar_plan(self, plan, num_slots: int):
+    def deferred_plan(self, num_slots: int) -> Optional[_DeferredPlan]:
+        """The next ``num_slots`` slots of Bernoulli arrivals, left for the
+        span kernel to draw, or ``None`` when the caller must materialize
+        the window itself.
+
+        This is the only place that decides deferral, for monolithic runs
+        and streamed windows alike.  A plan defers when the process is (a
+        subclass of) ``BernoulliArrivals`` running the stock ``arrivals``
+        and ``arrivals_slice`` (so the words the kernel draws are the words
+        either call would draw, at any window start), every queue id fits a
+        plan byte, some weight is positive, and the arbiter draws from a
+        different ``Random`` (the scalar loop consumes a plan's words
+        strictly before the arbiter's).
+        """
+        proc = self.sim.arrivals
+        if (_np is None or num_slots <= 0
+                or not isinstance(proc, BernoulliArrivals)
+                or type(proc).arrivals is not BernoulliArrivals.arrivals
+                or (type(proc).arrivals_slice
+                    is not ArrivalProcess.arrivals_slice)
+                or not proc.slot_invariant
+                or proc.num_queues > 254
+                or proc._rng is getattr(self.sim.arbiter, "_rng", None)):
+            return None
+        plan = _DeferredPlan(proc, num_slots)
+        return plan if plan.total > 0.0 else None
+
+    def _scalar_plan(self, plan):
         """Normalize ``plan`` for the inherited scalar loop, which consumes
         ``Optional[int]`` entries (never plan bytes or deferred plans)."""
         if isinstance(plan, _DeferredPlan):
             plan = plan.materialize()
-            if plan is None:  # pragma: no cover - deferred only when total>0
-                return _arrival_plan(self.sim, num_slots)
         if isinstance(plan, (bytes, bytearray)):
             return [None if b == _NO_ARRIVAL else b for b in plan]
         return plan
@@ -355,15 +352,13 @@ class _NumpyRADSCore(_RADSCore):
         self._check_not_finished()
         drain_slots = self._drain_slots()
         done = False
-        if isinstance(plan, _DeferredPlan):
-            proc = plan.proc
-            if (plan.num_slots == num_slots
-                    and proc._rng is not self.sim.arbiter._rng):
-                done = run_span_kernel(
-                    self, None, num_slots, main=True,
-                    bern=(proc._rng, plan.tint, plan.cum_weights,
-                          plan.total),
-                    drain_slots=drain_slots)
+        deferred = isinstance(plan, _DeferredPlan)
+        if deferred:
+            done = run_span_kernel(
+                self, None, num_slots, main=True,
+                bern=(plan.proc._rng, plan.tint, plan.cum_weights,
+                      plan.total),
+                drain_slots=drain_slots)
         elif isinstance(plan, (bytes, bytearray)):
             if len(plan) >= num_slots:
                 done = run_span_kernel(self, plan, num_slots, main=True,
@@ -377,17 +372,21 @@ class _NumpyRADSCore(_RADSCore):
                 # Counted as the two spans the unfused path would run.
                 obs.inc("engine.numpy.spans", 2)
                 obs.inc("engine.numpy.span_slots", num_slots + drain_slots)
+                if deferred:
+                    obs.inc("engine.numpy.deferred_spans")
         return done
 
     def run_span(self, plan, num_slots: int, main: bool = True) -> None:
+        obs = get_metrics()
+        if obs is not None and isinstance(plan, _DeferredPlan):
+            obs.inc("engine.numpy.deferred_spans")
         if (num_slots <= 0 or _np is None or not self._fusable
                 or self.sim.trace is not None):
-            return super().run_span(self._scalar_plan(plan, num_slots),
+            return super().run_span(self._scalar_plan(plan),
                                     num_slots, main)
         from repro.sim.kernel import MIN_KERNEL_SLOTS, run_span_kernel
 
         self._check_not_finished()
-        obs = get_metrics()
         if obs is not None:
             obs.inc("engine.numpy.spans")
             obs.inc("engine.numpy.span_slots", num_slots)
@@ -399,21 +398,15 @@ class _NumpyRADSCore(_RADSCore):
                 return None
             return super().run_span(None, num_slots, main)
         if isinstance(plan, _DeferredPlan):
-            # Let the kernel draw the Bernoulli plan natively (the arrival
-            # process must not share the arbiter's RNG object — the scalar
-            # loop consumes the plan's words strictly first).
-            proc = plan.proc
+            # Let the kernel draw the Bernoulli plan natively; if it
+            # declines, the plan materializes and the span runs as usual.
             if (num_slots >= MIN_KERNEL_SLOTS
-                    and plan.num_slots == num_slots
-                    and proc._rng is not self.sim.arbiter._rng
                     and run_span_kernel(
                         self, None, num_slots, main=True,
-                        bern=(proc._rng, plan.tint, plan.cum_weights,
+                        bern=(plan.proc._rng, plan.tint, plan.cum_weights,
                               plan.total))):
                 return None
             plan = plan.materialize()
-            if plan is None:  # pragma: no cover - deferred only when total>0
-                plan = _arrival_plan(self.sim, num_slots)
         if isinstance(plan, (bytes, bytearray)):
             aplan = plan
         elif plan is None:
@@ -421,7 +414,7 @@ class _NumpyRADSCore(_RADSCore):
         else:
             aplan = bytes(_NO_ARRIVAL if a is None else a for a in plan)
         if len(aplan) < num_slots:
-            return super().run_span(self._scalar_plan(plan, num_slots),
+            return super().run_span(self._scalar_plan(plan),
                                     num_slots, main)
         if (num_slots >= MIN_KERNEL_SLOTS
                 and run_span_kernel(self, aplan, num_slots, main=True)):

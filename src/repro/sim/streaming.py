@@ -7,7 +7,15 @@ chunks:
 
 * **Chunked arrival plans** — each chunk asks the arrival process for just
   its window (:meth:`~repro.traffic.arrivals.ArrivalProcess.arrivals_slice`),
-  so peak memory is ``O(chunk_slots)``, independent of the horizon.  The
+  so peak memory is ``O(chunk_slots)``, independent of the horizon.  On the
+  numpy engine's RADS core a Bernoulli window stays *deferred*, exactly as
+  in a monolithic numpy run: the span kernel draws it from the process RNG
+  itself.  It materializes (same words) when the process is not stock
+  Bernoulli, has more than 254 queues, no positive weight or shares the
+  arbiter's RNG, or when the kernel declines the span (shorter than
+  ``MIN_KERNEL_SLOTS``, ``ERR_CAP``, a traced run, no kernel).  A deferred
+  plan cannot be sliced, so :meth:`StreamingSimulation.run` cuts windows at
+  the warmup boundary and checkpoint marks before planning them.  The
   chunk concatenation is stream-identical to one monolithic plan, so with
   ``warmup_slots=0`` a streamed run's report is **bit-identical** to
   :meth:`~repro.sim.engine.ClosedLoopSimulation.run` on the same engine, for
@@ -181,7 +189,6 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
             raise ConfigurationError(
                 "run() needs num_slots; open-ended sessions are driven with "
                 "feed() and closed with finish()")
-        arrivals = self.sim.arrivals
         next_mark = None
         if self.checkpoint_every is not None:
             # The first mark strictly ahead of the current position, so a
@@ -195,13 +202,13 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
             stop = min(self.slot + self.chunk_slots, self.num_slots)
             if next_mark is not None and next_mark < stop:
                 stop = next_mark
-            count = stop - self.slot
-            if arrivals is not None:
-                window = arrivals.arrivals_slice(self.slot, count)
-                plan = window if isinstance(window, list) else list(window)
-            else:
-                plan = [None] * count
-            self._execute(plan)
+            # Cut at the warmup boundary before planning: a deferred plan
+            # cannot be sliced, and two windows drawn in order consume the
+            # same words as one.
+            cut = self.warmup_slots - self.slot
+            if not self._warmup_done and 0 < cut < stop - self.slot:
+                self._span(self._window_plan(cut))
+            self._span(self._window_plan(stop - self.slot))
             chunks_done += 1
             if (self.progress is not None
                     and chunks_done % self.progress_every == 0):
@@ -241,21 +248,35 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
                 f"= {self.num_slots}")
         self._execute(plan if isinstance(plan, list) else list(plan))
 
+    def _window_plan(self, count: int):
+        """The arrival plan of the next ``count`` slots: the core's deferred
+        plan when it draws the window itself (the numpy RADS core, on the
+        same terms as a monolithic run), else the process's
+        ``arrivals_slice`` window as a list."""
+        if self._core is not None:
+            plan = self._core.deferred_plan(count)
+            if plan is not None:
+                return plan
+        arrivals = self.sim.arrivals
+        if arrivals is None:
+            return [None] * count
+        window = arrivals.arrivals_slice(self.slot, count)
+        return window if isinstance(window, list) else list(window)
+
     def _execute(self, plan: List[Optional[int]]) -> None:
         """Advance over ``plan``, splitting it at the warmup boundary so the
         measurement reset lands at exactly ``warmup_slots`` for any
         chunking."""
-        count = len(plan)
-        if (not self._warmup_done
-                and self.slot < self.warmup_slots <= self.slot + count):
-            cut = self.warmup_slots - self.slot
+        cut = self.warmup_slots - self.slot
+        if not self._warmup_done and 0 < cut < len(plan):
             self._span(plan[:cut])
-            self._reset_measurement()
-            self._warmup_done = True
             plan = plan[cut:]
         self._span(plan)
 
-    def _span(self, plan: List[Optional[int]]) -> None:
+    def _span(self, plan) -> None:
+        """Advance over ``plan`` (a list, or a deferred plan on the numpy
+        core), restarting the measurement when the span ends on the warmup
+        boundary."""
         if self._finished:
             raise StaleSimulationError(
                 "this streaming session already produced its report")
@@ -277,6 +298,9 @@ MetricsRegistry` of what it did — chunks executed, slots processed,
         self._obs.observe("stream.chunk_s", duration)
         trace_emit("chunk", start_slot=start_slot, slots=count,
                    duration_s=round(duration, 6), engine=self.engine)
+        if not self._warmup_done and self.slot == self.warmup_slots:
+            self._reset_measurement()
+            self._warmup_done = True
 
     def _reset_measurement(self) -> None:
         """Restart the measurement collectors at the warmup boundary."""

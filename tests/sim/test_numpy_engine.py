@@ -21,13 +21,14 @@ from repro.rads.buffer import RADSPacketBuffer
 from repro.rads.config import RADSConfig
 from repro.sim import kernel as span_kernel
 from repro.sim import numpy_engine
+from repro.obs.metrics import using_metrics
 from repro.sim.engine import ClosedLoopSimulation
 from repro.sim.numpy_engine import NUMPY_AVAILABLE
 from repro.sim.streaming import StreamingSimulation, resume_stream
 from repro.workloads.registry import get_scenario
 from repro.traffic.arbiters import OldestCellArbiter, RandomArbiter
 from repro.traffic.arrivals import BernoulliArrivals
-from repro.workloads import all_scenarios
+from repro.workloads import Scenario, all_scenarios
 from repro.workloads.registry import scenario_names
 
 requires_numpy = pytest.mark.skipif(not NUMPY_AVAILABLE,
@@ -240,6 +241,180 @@ def test_unknown_engine_error_names_numpy():
     sim = ClosedLoopSimulation(_build_buffer("rads"))
     with pytest.raises(ConfigurationError, match="numpy"):
         sim.run(10, engine="warp")
+
+
+# --------------------------------------------------------------------- #
+# Streamed runs: per-window deferred Bernoulli plans.
+# --------------------------------------------------------------------- #
+
+#: Horizon of the streamed bit-identity cases (not a multiple of 191/192).
+STREAM_SLOTS = 4000
+
+
+def _stream_sim(num_queues=8, weights=None, load=0.85, shared_rng=False,
+                arrivals_cls=BernoulliArrivals):
+    arrivals = arrivals_cls(num_queues, load=load, weights=weights, seed=41)
+    arbiter = RandomArbiter(num_queues, seed=42, load=0.9)
+    if shared_rng:
+        arbiter._rng = arrivals._rng
+    return ClosedLoopSimulation(
+        RADSPacketBuffer(RADSConfig(num_queues=num_queues, granularity=4)),
+        arrivals, arbiter)
+
+
+def stream_numpy_vs_array(make_sim, num_slots=STREAM_SLOTS, **stream_kw):
+    """Stream ``make_sim()`` on the numpy and array engines; assert equal
+    reports and equal RNG states afterwards.  Returns the numpy report and
+    the number of spans that were handed a deferred plan."""
+    numpy_sim = make_sim()
+    with using_metrics() as registry:
+        numpy = numpy_sim.run_stream(num_slots, engine="numpy", **stream_kw)
+    array_sim = make_sim()
+    array = array_sim.run_stream(num_slots, engine="array", **stream_kw)
+    assert_reports_identical(numpy, array)
+    assert numpy_sim.arrivals._rng.getstate() == \
+        array_sim.arrivals._rng.getstate()
+    assert numpy_sim.arbiter._rng.getstate() == \
+        array_sim.arbiter._rng.getstate()
+    return numpy, registry.counter("engine.numpy.deferred_spans")
+
+
+@requires_numpy
+@pytest.mark.parametrize("chunk_slots,num_slots", [
+    (191, STREAM_SLOTS), (192, STREAM_SLOTS), (1000, STREAM_SLOTS),
+    (65536, STREAM_SLOTS), (1000, 4321)])
+def test_streamed_deferred_chunks_identical(chunk_slots, num_slots,
+                                            kernel_mode):
+    """Every window is a deferred plan — below the kernel's minimum span
+    (191) it materializes, from 192 the kernel draws it — and the stream
+    equals both the streamed array run and the monolithic numpy run."""
+    numpy, deferred = stream_numpy_vs_array(
+        _stream_sim, num_slots, chunk_slots=chunk_slots)
+    assert deferred == -(-num_slots // chunk_slots)
+    assert_reports_identical(numpy, _stream_sim().run(num_slots,
+                                                      engine="numpy"))
+
+
+@requires_numpy
+@pytest.mark.parametrize("warmup_slots", [1100, 1500])
+def test_streamed_deferred_warmup_mid_chunk(warmup_slots, kernel_mode):
+    """The window holding the warmup boundary is cut before planning: two
+    deferred plans, drawn in order (the 100-slot part materializes)."""
+    numpy, deferred = stream_numpy_vs_array(
+        _stream_sim, chunk_slots=1000, warmup_slots=warmup_slots)
+    assert deferred == STREAM_SLOTS // 1000 + 1
+    # The engineering counters cover the whole run, warmup or not.
+    monolithic = _stream_sim().run(STREAM_SLOTS, engine="numpy")
+    assert numpy.buffer_result == monolithic.buffer_result
+    assert numpy.throughput.slots == monolithic.throughput.slots - warmup_slots
+
+
+@requires_numpy
+def test_streamed_deferred_checkpoint_resume(tmp_path, kernel_mode):
+    """Checkpoint marks land mid-chunk (1700, 3400); the run resumed from
+    the last one draws its remaining window deferred from the restored RNG
+    state."""
+    reports = {}
+    for engine in ("numpy", "array"):
+        reports[engine] = _stream_sim().run_stream(
+            STREAM_SLOTS, engine=engine, chunk_slots=1000,
+            checkpoint_every=1700, checkpoint_path=tmp_path / engine)
+    assert_reports_identical(reports["numpy"], reports["array"])
+    with using_metrics() as registry:
+        resumed = resume_stream(tmp_path / "numpy")
+    assert registry.counter("engine.numpy.deferred_spans") == 1
+    assert_reports_identical(resumed, reports["array"])
+    assert_reports_identical(resumed, _stream_sim().run(STREAM_SLOTS,
+                                                        engine="numpy"))
+
+
+@requires_numpy
+def test_streamed_shared_rng_materializes(kernel_mode):
+    """Arrivals and arbiter drawing from one ``Random``: the plan's words
+    must be consumed before the arbiter's, so no window defers.  (Such a
+    stream interleaves the two per window, so it is compared with the
+    streamed array run only — and the monolithic runs with each other.)"""
+    def make_sim():
+        return _stream_sim(shared_rng=True)
+
+    _, deferred = stream_numpy_vs_array(make_sim, chunk_slots=1000)
+    assert deferred == 0
+    assert_reports_identical(*run_both(make_sim, STREAM_SLOTS))
+
+
+@requires_numpy
+@pytest.mark.parametrize("weights,load,defers", [
+    ([0, 3, 0, 1, 0, 0, 2, 0], 0.85, True),
+    ([0] * 8, 0.0, False),
+])
+def test_streamed_zero_weight_queues(weights, load, defers, kernel_mode):
+    """Zero-weight queues defer like any others; all-zero weights (no
+    positive total) never defer."""
+    def make_sim():
+        return _stream_sim(weights=weights, load=load)
+
+    numpy, deferred = stream_numpy_vs_array(make_sim, chunk_slots=1000)
+    assert deferred == (STREAM_SLOTS // 1000 if defers else 0)
+    assert_reports_identical(numpy, make_sim().run(STREAM_SLOTS,
+                                                   engine="numpy"))
+
+
+@requires_numpy
+@pytest.mark.parametrize("num_queues,defers", [(254, True), (255, False)])
+def test_streamed_queue_id_byte_limit(num_queues, defers, kernel_mode):
+    """A plan byte holds queues 0..253 (255 means no arrival): 254 queues
+    defer, 255 do not."""
+    def make_sim():
+        return _stream_sim(num_queues=num_queues)
+
+    numpy, deferred = stream_numpy_vs_array(make_sim, 1500, chunk_slots=500)
+    assert deferred == (3 if defers else 0)
+    assert_reports_identical(numpy, make_sim().run(1500, engine="numpy"))
+
+
+class _ShiftedSliceArrivals(BernoulliArrivals):
+    """Overrides only ``arrivals_slice``: every window is the stock window
+    with each queue id moved up by one."""
+
+    def arrivals_slice(self, start_slot, num_slots):
+        return [None if q is None else (q + 1) % self.num_queues
+                for q in super().arrivals_slice(start_slot, num_slots)]
+
+
+@requires_numpy
+def test_streamed_custom_arrivals_slice_is_honoured(kernel_mode):
+    """A subclass whose ``arrivals_slice`` differs from the stock one must
+    not be deferred: the kernel's native draw would bypass the override."""
+    def make_sim():
+        return _stream_sim(arrivals_cls=_ShiftedSliceArrivals)
+
+    numpy, deferred = stream_numpy_vs_array(make_sim, chunk_slots=1000)
+    assert deferred == 0
+    stock = _stream_sim().run_stream(STREAM_SLOTS, engine="array",
+                                     chunk_slots=1000)
+    assert numpy.latency != stock.latency
+
+
+@requires_numpy
+def test_rads_stream_shape_defers_every_main_chunk(kernel_mode):
+    """A shortened long-horizon RADS stream (32 queues, Bernoulli 0.85,
+    random arbiter 0.9, 65,536-slot chunks): every main chunk is handed a
+    deferred plan, and the kernel runs each of them when it loads."""
+    scenario = Scenario(
+        name="rads-stream-short", description="", scheme="rads",
+        buffer={"num_queues": 32, "granularity": 4},
+        arrivals={"type": "bernoulli",
+                  "params": {"num_queues": 32, "load": 0.85}},
+        arbiter={"type": "random",
+                 "params": {"num_queues": 32, "load": 0.9}},
+        num_slots=140_000, seed=3)
+    with using_metrics() as registry:
+        streamed = scenario.run_stream(engine="numpy", chunk_slots=65536)
+    assert registry.counter("stream.chunks") == 3
+    assert registry.counter("engine.numpy.deferred_spans") == 3
+    if kernel_mode == "kernel" and span_kernel.load_kernel() is not None:
+        assert registry.counter("engine.numpy.kernel_spans") >= 3
+    assert_reports_identical(streamed, scenario.run(engine="numpy"))
 
 
 # --------------------------------------------------------------------- #
