@@ -6,15 +6,19 @@ Builds ``_spankernel.c`` with ``-fsanitize=address,undefined
 into a child interpreter with the sanitizer runtimes preloaded and real
 ``malloc`` in use, and drives it through:
 
-1. the PR 9 backlog-migration overflow stressor (heavily skewed Bernoulli
+1. the backlog-migration overflow stressor (heavily skewed Bernoulli
    weights push one queue's backlog through repeated grow/migrate cycles —
-   the workload that exposed the unchecked writeback overflow), and
+   the workload that exposed the unchecked writeback overflow),
 2. a numpy-vs-array differential sweep across RADS configs, asserting
    bit-identical reports so the instrumented build is proven to be the
-   same kernel, not just a crash-free one, and
+   same kernel, not just a crash-free one,
 3. a streamed leg whose windows hand the kernel deferred Bernoulli plans
    across a checkpoint save/resume, so the native Bernoulli draw and its
-   RNG writeback run instrumented on the chunked path.
+   RNG writeback run instrumented on the chunked path, and
+4. the delay-fold stressor: an arbiter granting less than arrives keeps
+   backlog and delays growing past the span length, so the kernel's
+   ``(delay, count)`` fold runs both its tally and its sort path, lossless
+   and lossy (drops at a bounded DRAM).
 
 Any out-of-bounds access or UB in the C source aborts the child with a
 sanitizer report, which this parent surfaces verbatim.
@@ -126,6 +130,31 @@ if streamed != want or resumed != want:
     print("DIFFERENTIAL MISMATCH: streamed deferred windows", file=sys.stderr)
     sys.exit(4)
 print("streamed ok")
+
+# 4. Delay fold over a growing backlog: 500-slot spans whose delays reach
+# thousands of slots (tally path at arbiter load 0.5; sparse departures
+# over a wide range at 0.05 take the sort path), plus a lossy variant.
+def make_fold_sim(arbiter_load, lossy):
+    extra = dict(dram_cells=1024, strict=False) if lossy else {}
+    return ClosedLoopSimulation(
+        RADSPacketBuffer(RADSConfig(num_queues=8, granularity=4, **extra)),
+        BernoulliArrivals(8, load=0.9, seed=51),
+        RandomArbiter(8, seed=52, load=arbiter_load))
+
+for arbiter_load, lossy in ((0.5, False), (0.05, False), (0.5, True)):
+    with using_metrics() as registry:
+        got = make_fold_sim(arbiter_load, lossy).run_stream(
+            6000, engine="numpy", chunk_slots=500)
+    want = make_fold_sim(arbiter_load, lossy).run_stream(
+        6000, engine="array", chunk_slots=500)
+    if registry.counter("engine.numpy.kernel_spans") < 12:
+        print("DELAY FOLD LEG DID NOT RUN ON THE KERNEL", file=sys.stderr)
+        sys.exit(4)
+    if got != want:
+        print(f"DIFFERENTIAL MISMATCH: delay fold load={arbiter_load} "
+              f"lossy={lossy}", file=sys.stderr)
+        sys.exit(4)
+print("delay fold ok")
 print("SANITIZE CHECK PASSED")
 """
 
@@ -134,7 +163,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--require", action="store_true",
                         help="fail (exit 2) instead of skipping when the "
-                             "sanitizer toolchain or numpy is unavailable")
+                             "sanitizer toolchain is unavailable")
     args = parser.parse_args()
 
     sys.path.insert(0, str(SRC))
@@ -147,10 +176,6 @@ def main() -> int:
         print(f"skip: {reason}")
         return 0
 
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return skip("numpy unavailable (the kernel rides the numpy engine)")
     if _compiler() is None:
         return skip("no C compiler on PATH")
     preload = sanitizer_preload()

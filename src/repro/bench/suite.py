@@ -33,7 +33,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.runner.sweep import available_cpus
 from repro.errors import ValidationError
-from repro.sim.numpy_engine import NUMPY_AVAILABLE
 
 #: Default output file.  The suffix tracks the PR that produced the
 #: snapshot so the repository can accumulate a BENCH_<n>.json trajectory.
@@ -286,7 +285,7 @@ SUITE: Tuple[BenchCase, ...] = (
           lambda quick: _registered_scenario_setup(
               "uniform-bernoulli", "array", quick)),
     _case("scenario/uniform-bernoulli/numpy",
-          "registered RADS scenario, vectorized numpy engine",
+          "registered RADS scenario, numpy engine (array core + span kernel)",
           lambda quick: _registered_scenario_setup(
               "uniform-bernoulli", "numpy", quick)),
     _case("scenario/markov-onoff/batched",
@@ -304,7 +303,7 @@ SUITE: Tuple[BenchCase, ...] = (
           "128-queue Bernoulli stressor, struct-of-arrays engine",
           lambda quick: _wide_setup("array", quick)),
     _case("wide-128/numpy",
-          "128-queue Bernoulli stressor, vectorized numpy engine",
+          "128-queue Bernoulli stressor, numpy engine (array core + span kernel)",
           lambda quick: _wide_setup("numpy", quick)),
     _case("mma-ablation/ecqf",
           "head-only worst case under ECQF (paper policy)",
@@ -328,18 +327,12 @@ SUITE: Tuple[BenchCase, ...] = (
           "long-horizon streamed run, struct-of-arrays engine",
           lambda quick: _stream_setup("array", quick)),
     _case("stream/long-horizon/numpy",
-          "long-horizon streamed run, vectorized numpy engine",
+          "long-horizon streamed run, numpy engine (array core + span kernel)",
           lambda quick: _stream_setup("numpy", quick)),
     _case("stream/long-horizon/array-checkpointed",
           "streamed run writing 3 resumable checkpoints along the way",
           lambda quick: _stream_setup("array", quick, checkpoint=True)),
 )
-
-#: Without the optional dependency the numpy benchmarks drop out of the
-#: suite (and, via the in-medians guard below, out of the derived ratios):
-#: the snapshot stays valid, just narrower.
-if not NUMPY_AVAILABLE:  # pragma: no cover - exercised by the no-numpy CI leg
-    SUITE = tuple(case for case in SUITE if "/numpy" not in case.name)
 
 #: Ratios derived from pairs of benchmark medians (numerator / denominator —
 #: the speedup trajectory the acceptance criteria track).  The fourth

@@ -1,19 +1,19 @@
-"""``checkpoint-purity`` — picklable span cores stay numpy/ctypes-free.
+"""``checkpoint-purity`` — picklable span cores stay ctypes-free.
 
 Streaming checkpoints pickle the span cores (``_ArrayCoreBase`` and every
-subclass) so a run can resume on a machine *without* numpy or the compiled
-kernel.  PR 9 fixed exactly this bug class: the kernel bridge stashed a
+subclass) so a run can resume on a machine *without* the compiled kernel.
+This rule guards a bug class the kernel bridge once had: it stashed a
 ctypes ``(c_int64 * n)`` view on the core as ``_bl8_arr``, which pickled
-the whole buffer (or failed outright) and broke numpy-free resume.  The
-fix moved it to a ``WeakKeyDictionary`` keyed by the core — state lives
-*beside* the core, never *on* it.
+the whole buffer (or failed outright) and broke resume.  Kernel buffers
+are locals of the bridge call — state lives *beside* the core, never
+*on* it.
 
 This rule enforces that shape statically: inside any class in the
 core-class closure (built over the whole file set in :meth:`prepare`, so
 subclasses in other modules are covered), an attribute assignment
 ``self.x = <expr>`` — or ``core.x = <expr>`` for parameters named
-``core`` anywhere in ``sim/`` — must not bind numpy/ctypes values,
-lambdas, generators, or open file handles.  Element-wise writes
+``core`` anywhere in ``sim/`` — must not bind ctypes values, lambdas,
+generators, or open file handles.  Element-wise writes
 (``core.backlog[:] = ...``) are fine: they fill a plain list, they don't
 rebind the attribute.
 
@@ -34,12 +34,12 @@ CORE_ROOTS = frozenset({"_ArrayCoreBase"})
 
 class CheckpointPurityRule(Rule):
     name = "checkpoint-purity"
-    summary = "span cores never hold ndarray/ctypes/lambda/file attributes"
+    summary = "span cores never hold ctypes/lambda/file attributes"
     contract = (
         "Classes reachable from the picklable span cores (_ArrayCoreBase "
-        "closure) assign only plain-Python state to attributes; numpy "
-        "arrays, ctypes buffers, lambdas, generators and file handles "
-        "break numpy-free checkpoint resume (the _bl8_arr bug class).")
+        "closure) assign only plain-Python state to attributes; ctypes "
+        "buffers, lambdas, generators and file handles break checkpoint "
+        "resume (the _bl8_arr bug class).")
     scope = frozenset({"sim"})
 
     def __init__(self) -> None:
@@ -77,7 +77,6 @@ class CheckpointPurityRule(Rule):
     # ------------------------------------------------------------- #
 
     def check(self, file: SourceFile) -> Iterator[Finding]:
-        numpy_names = set(module_aliases(file.tree, "numpy"))
         ctypes_names = set(module_aliases(file.tree, "ctypes"))
 
         # 1. self.<attr> = <impure> inside core-class methods.
@@ -97,7 +96,7 @@ class CheckpointPurityRule(Rule):
                     continue
                 yield from self._impure_assignments(
                     file, method, self_name, node.name,
-                    numpy_names, ctypes_names)
+                    ctypes_names)
 
         # 2. core.<attr> = <impure> anywhere a parameter is named ``core``
         # (the kernel bridge pattern: run_span_kernel(core, ...)).
@@ -110,20 +109,19 @@ class CheckpointPurityRule(Rule):
                 continue
             yield from self._impure_assignments(
                 file, node, "core", "core parameter",
-                numpy_names, ctypes_names)
+                ctypes_names)
 
     def _impure_assignments(self, file: SourceFile, func: ast.AST,
                             receiver: str, owner: str,
-                            numpy_names: Set[str],
                             ctypes_names: Set[str]) -> Iterator[Finding]:
         tainted_locals: Set[str] = set()
         for node in ast.walk(func):
             if isinstance(node, ast.Assign):
                 impure = self._impurity(
-                    node.value, numpy_names, ctypes_names, tainted_locals)
+                    node.value, ctypes_names, tainted_locals)
                 for target in node.targets:
                     # Plain local binding: remember the taint for one-step
-                    # propagation (arr = np.zeros(n); self.x = arr).
+                    # propagation (buf = (c_int64 * n)(); self.x = buf).
                     if isinstance(target, ast.Name):
                         if impure:
                             tainted_locals.add(target.id)
@@ -135,13 +133,13 @@ class CheckpointPurityRule(Rule):
                         yield self.finding(
                             file, target,
                             f"{receiver}.{target.attr} = {impure} would be "
-                            f"pickled with {owner} and break numpy-free "
-                            "checkpoint resume; keep it in a "
-                            "WeakKeyDictionary beside the core",
+                            f"pickled with {owner} and break checkpoint "
+                            "resume; keep it in a local of the call that "
+                            "needs it",
                             target.attr)
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
                 impure = self._impurity(
-                    node.value, numpy_names, ctypes_names, tainted_locals)
+                    node.value, ctypes_names, tainted_locals)
                 target = node.target
                 if (isinstance(target, ast.Attribute)
                         and isinstance(target.value, ast.Name)
@@ -149,22 +147,20 @@ class CheckpointPurityRule(Rule):
                     yield self.finding(
                         file, target,
                         f"{receiver}.{target.attr} = {impure} would be "
-                        f"pickled with {owner} and break numpy-free "
-                        "checkpoint resume",
+                        f"pickled with {owner} and break checkpoint "
+                        "resume",
                         target.attr)
 
-    def _impurity(self, value: ast.expr, numpy_names: Set[str],
-                  ctypes_names: Set[str],
+    def _impurity(self, value: ast.expr, ctypes_names: Set[str],
                   tainted_locals: Set[str]) -> Optional[str]:
         """A short description of why ``value`` is checkpoint-impure, or
         ``None`` when it looks like plain-Python state.
 
         Purity barriers keep the analysis useful on real kernel code:
-        ``x.tolist()`` is the canonical numpy/ctypes → plain-Python
-        conversion, and a call to an ordinary helper function is assumed
-        to return what its contract says (``split(ctypes_buf, ...)`` in
-        the kernel bridge returns plain lists) — taint does not leak
-        through either.
+        ``x.tolist()`` is the canonical buffer → plain-Python conversion,
+        and a call to an ordinary helper function is assumed to return
+        what its contract says (``split(buf, ...)`` in the kernel bridge
+        returns plain lists) — taint does not leak through either.
         """
         def visit(node: ast.AST) -> Optional[str]:
             if isinstance(node, ast.Lambda):
@@ -172,8 +168,6 @@ class CheckpointPurityRule(Rule):
             if isinstance(node, ast.GeneratorExp):
                 return "a generator"
             if isinstance(node, ast.Name):
-                if node.id in numpy_names:
-                    return "a numpy value"
                 if node.id in ctypes_names:
                     return "a ctypes value"
                 if node.id in tainted_locals:
@@ -185,7 +179,7 @@ class CheckpointPurityRule(Rule):
                 if isinstance(func, ast.Name):
                     if func.id == "open":
                         return "a file handle"
-                    if func.id not in numpy_names | ctypes_names:
+                    if func.id not in ctypes_names:
                         return None  # helper-function barrier
             for child in ast.iter_child_nodes(node):
                 impure = visit(child)

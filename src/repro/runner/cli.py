@@ -181,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="simulation core to use: reference, batched, "
                                "array, or numpy (default: batched; all "
                                "engines produce bit-identical reports; an "
-                               "unknown or unavailable name is a one-line "
-                               "error, not a traceback)")
+                               "unknown name is a one-line error, not a "
+                               "traceback)")
     scenario.add_argument("--stream", action="store_true",
                           help="run through the bounded-memory streaming "
                                "path (chunked arrival plans; implied by the "

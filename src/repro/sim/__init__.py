@@ -10,11 +10,7 @@ verdicts).
 from repro.sim.stats import LatencyStats, ThroughputStats
 from repro.sim.engine import ClosedLoopSimulation, SimulationReport
 from repro.sim.array_engine import ENGINES, build_array_core, run_array
-from repro.sim.numpy_engine import (
-    NUMPY_AVAILABLE,
-    build_numpy_core,
-    run_numpy,
-)
+from repro.sim.numpy_engine import build_numpy_core, run_numpy
 from repro.sim.ring import IntRing
 from repro.sim.streaming import (
     StreamingSimulation,
@@ -36,7 +32,6 @@ __all__ = [
     "ENGINES",
     "build_array_core",
     "run_array",
-    "NUMPY_AVAILABLE",
     "build_numpy_core",
     "run_numpy",
     "IntRing",

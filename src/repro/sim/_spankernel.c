@@ -80,10 +80,15 @@ static int64_t mt_comb53(mt_state *mt)
     return ((int64_t)a << 26) | (int64_t)b;
 }
 
-/* _randbelow(m) for 1 <= m <= 254: getrandbits(bit_length(m)) per try. */
-static int mt_randbelow(mt_state *mt, int m, int shift)
+/* _randbelow(m) for 1 <= m <= 254: getrandbits(bit_length(m)) per try,
+ * i.e. the top bit_length(m) bits of one 32-bit word. */
+static int mt_randbelow(mt_state *mt, int m)
 {
-    uint32_t r = mt_next(mt) >> shift;
+    int shift = 32;
+    uint32_t r;
+    for (r = (uint32_t)m; r; r >>= 1)
+        shift--;
+    r = mt_next(mt) >> shift;
     while ((int)r >= m)
         r = mt_next(mt) >> shift;
     return (int)r;
@@ -210,7 +215,7 @@ typedef struct {
     int64_t crit_len, pending_len, eligible_len;
     int64_t ecqf_fallback;
     /* results (out) */
-    int64_t n_delays, n_head_miss, n_tail_miss, n_drained;
+    int64_t n_delays, n_hist, n_head_miss, n_tail_miss, n_drained;
     int64_t arrivals_seen, grants;
     int64_t pend_head_out, pend_flat_off_out;
     /* fused drain: run this many extra drain-mode slots (no arrivals, no
@@ -232,7 +237,6 @@ typedef struct {
     int64_t *bern_meta;
     const double *cum_weights;      /* len num_queues (plan_mode 1) */
     const uint8_t *plan;            /* len num_slots (plan_mode 0) */
-    const int64_t *bl8;             /* randbelow shifts, idx 0..num_queues */
     /* per-queue int64[num_queues], in/out */
     int64_t *backlog, *next_seqno, *delivered, *counters, *req_count;
     int64_t *tail_occ, *dram_occ, *crit_cache;
@@ -247,7 +251,9 @@ typedef struct {
     int64_t *la_ring;               /* in/out, len la_len, -1 = empty */
     int64_t *crit_heap;             /* in/out, cap >= crit_len + 3n + 8 */
     int64_t *pending_fin, *pending_q, *pending_cnt, *pending_flat;
-    int64_t *delays;                /* out, cap num_slots */
+    int64_t *delays;                /* out, cap num_slots: folded to the
+                                       ascending distinct delays */
+    int64_t *delay_counts;          /* out, cap num_slots: their counts */
     int64_t *head_miss_q, *head_miss_slot;  /* out, cap num_slots */
     int64_t *drained;               /* out, cap num_slots */
 } kptrs;
@@ -273,6 +279,56 @@ static int sram_push(qstate *q, int64_t seq)
     heap_up(q->sram, q->sram_len);
     q->sram_len++;
     return 1;
+}
+
+static int cmp_i64(const void *a, const void *b)
+{
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Fold d[0..n) in place into its ascending distinct values d[0..k) with
+ * their counts in counts[0..k); returns k, or -1 on a failed allocation.
+ * A tally over [min, max] is linear; a range much wider than n (few
+ * departures spread over a long backlog) sorts instead, so the tally
+ * stays within a few times the size of the delays themselves. */
+static int64_t fold_delays(int64_t *d, int64_t n, int64_t *counts)
+{
+    int64_t lo, hi, i, k = 0;
+    if (n == 0)
+        return 0;
+    lo = hi = d[0];
+    for (i = 1; i < n; i++) {
+        if (d[i] < lo)
+            lo = d[i];
+        if (d[i] > hi)
+            hi = d[i];
+    }
+    if (hi - lo < 4 * n + 64) {
+        int64_t *tally = (int64_t *)calloc((size_t)(hi - lo + 1),
+                                           sizeof(int64_t));
+        if (!tally)
+            return -1;
+        for (i = 0; i < n; i++)
+            tally[d[i] - lo]++;
+        for (i = 0; i <= hi - lo; i++)
+            if (tally[i]) {
+                d[k] = lo + i;
+                counts[k++] = tally[i];
+            }
+        free(tally);
+        return k;
+    }
+    qsort(d, (size_t)n, sizeof(int64_t), cmp_i64);
+    for (i = 0; i < n; i++) {
+        if (k && d[k - 1] == d[i]) {
+            counts[k - 1]++;
+        } else {
+            d[k] = d[i];
+            counts[k++] = 1;
+        }
+    }
+    return k;
 }
 
 static int upper_bound_d(const double *a, int hi, double x)
@@ -420,12 +476,8 @@ int64_t rads_run_span(kcfg *c, kptrs *p)
 
         if (main_now) {
             /* -- arbiter: gate draw, then choice over eligible -- */
-            if (mt_comb53(&arb) < c->arb_tint && elig_len) {
-                /* bl8 holds 8 - bit_length(m); the kernel reads whole
-                 * 32-bit words, so the getrandbits shift is 24 more. */
-                request = (int)elig[mt_randbelow(&arb, elig_len,
-                                                 24 + (int)p->bl8[elig_len])];
-            }
+            if (mt_comb53(&arb) < c->arb_tint && elig_len)
+                request = (int)elig[mt_randbelow(&arb, elig_len)];
             /* -- arrival plan -- */
             if (plan_mode == 0) {
                 a = p->plan[slot - c->start_slot];
@@ -844,6 +896,11 @@ cleanup:
                 || stot > c->sram_ocap || rtot > c->req_ocap
                 || atot > c->arr_ocap)
             err = ERR_CAP;
+    }
+    if (err == ERR_OK) {
+        c->n_hist = fold_delays(p->delays, c->n_delays, p->delay_counts);
+        if (c->n_hist < 0)
+            err = ERR_OOM;
     }
     if (err == ERR_OK) {
         /* ---- per-queue contents back (live windows, head at 0) ---- */

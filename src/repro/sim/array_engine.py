@@ -89,8 +89,8 @@ from repro.traffic.arbiters import RandomArbiter
 from repro.types import MissRecord, ReplenishRequest, SimulationResult, TransferDirection
 
 #: Engine names accepted by ``ClosedLoopSimulation.run(engine=...)``.
-#: ``numpy`` needs the optional numpy extra at run time; selecting it
-#: without numpy raises a ConfigurationError naming the extra.
+#: ``numpy`` is the array core plus the compiled span kernel; the name is
+#: historical and the engine needs no numpy.
 ENGINE_REFERENCE = "reference"
 ENGINE_BATCHED = "batched"
 ENGINE_ARRAY = "array"

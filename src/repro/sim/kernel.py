@@ -1,33 +1,36 @@
 """Optional compiled span kernel for the numpy engine's RADS fast path.
 
-:mod:`repro.sim.numpy_engine` precomputes the RNG streams and runs a fused
-python slot loop; that loop's ceiling is CPython's bytecode dispatch.  This
-module removes it *without adding a dependency*: the bundled C99 source
-``_spankernel.c`` is compiled on first use with the system compiler
-(``cc -O2 -march=native -shared -fPIC``, falling back to plain ``-O2``),
-cached under the user's private cache directory (``$XDG_CACHE_HOME`` or
-``~/.cache``, created ``0o700`` and ownership-verified before every load)
-keyed by a hash of the source and the interpreter/platform tags, and loaded
-through :mod:`ctypes` — no ``Python.h``, no build backend, no wheels.
+The engine's python fallback is the array core's scalar slot loop, whose
+ceiling is CPython's bytecode dispatch.  This module removes it *without
+adding a dependency*: the bundled C99 source ``_spankernel.c`` is compiled
+on first use with the system compiler (``cc -O2 -march=native -shared
+-fPIC``, falling back to plain ``-O2``), cached under the user's private
+cache directory (``$XDG_CACHE_HOME`` or ``~/.cache``, created ``0o700`` and
+ownership-verified before every load) keyed by a hash of the source and the
+interpreter/platform tags, and loaded through :mod:`ctypes` — no
+``Python.h``, no build backend, no wheels.  State crosses the boundary in
+stdlib ``array.array`` buffers.
 
 The kernel executes whole spans natively: it resumes the arbiter's (and,
 for Bernoulli runs, monolithic or streamed, the arrival process's) Mersenne
 Twister from the ``random.Random`` state, runs the exact RADS slot loop on
-flat copies of the core's state, and hands back the mutated state plus the
-final RNG words, which are applied to the python core only on success.
-Failure at any stage — no compiler, compile error, load error, strict-mode
-aborts inside the span, or the ``REPRO_SPAN_KERNEL=0`` kill switch — falls
-back to the fused python loop on the untouched state, so the kernel is a pure
-accelerator: every result it produces is bit-identical to the scalar
-reference loop (asserted by ``tests/sim/test_numpy_engine.py``, which runs
-the suite through both paths).
+flat copies of the core's state, folds the latency samples into sorted
+``(delay, count)`` pairs, and hands back the mutated state plus the final
+RNG words, which are applied to the python core only on success.  Failure
+at any stage — no compiler, compile error, load error, strict-mode aborts
+inside the span, a failed allocation, or the ``REPRO_SPAN_KERNEL=0`` kill
+switch — falls back to the array core's scalar loop on the untouched state,
+so the kernel is a pure accelerator: every result it produces is
+bit-identical to the scalar reference loop (asserted by
+``tests/sim/test_numpy_engine.py``, which runs the suite through both
+paths).
 
 Sanitizer-hardened builds
 -------------------------
 Setting ``REPRO_SPAN_KERNEL_SANITIZE=1`` switches the build to
 ``-g -O1 -fsanitize=address,undefined -fno-sanitize-recover=all`` so any
 out-of-bounds write or undefined behaviour in the C source aborts the
-process instead of silently corrupting state (the bug class PR 9's
+process instead of silently corrupting state (the bug class the
 bounds-checked writebacks defend against).  The sanitized ``.so`` is cached
 under its own tag, never mixed with production builds.  Loading it into a
 stock CPython requires the sanitizer runtimes to be preloaded and real
@@ -41,22 +44,23 @@ stock CPython requires the sanitizer runtimes to be preloaded and real
 (``PYTHONMALLOC=malloc`` matters: pymalloc arenas carry no ASan redzones,
 so overflows on Python-allocated buffers would go unseen.)  The
 ``benchmarks/kernel_sanitize_check.py`` harness sets all of this up and
-replays the PR 9 backlog-migration overflow stressor; CI runs it in the
-``kernel-sanitize`` job.  Without the preload, ``CDLL`` fails and the
-engine falls back to the fused python loop as usual.
+replays the backlog-migration overflow and delay-fold stressors; CI runs it
+in the ``kernel-sanitize`` job.  Without the preload, ``CDLL`` fails and
+the engine falls back to the scalar loop as usual.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import mmap
 import os
 import subprocess
 import sys
 import sysconfig
 import tempfile
 import threading
-import weakref
+from array import array
 from collections import deque
 from itertools import chain
 from pathlib import Path
@@ -68,7 +72,7 @@ from repro.sim.ring import IntRing
 from repro.types import MissRecord
 
 #: Environment kill switch: set to ``0``/``off``/``false`` to disable the
-#: compiled kernel (the fused python loop still runs; results identical).
+#: compiled kernel (the scalar loop runs instead; results identical).
 KERNEL_ENV = "REPRO_SPAN_KERNEL"
 
 #: Set to ``1``/``on`` to compile the kernel with ASan+UBSan (abort on any
@@ -76,9 +80,9 @@ KERNEL_ENV = "REPRO_SPAN_KERNEL"
 #: environment; results remain bit-identical to the production build.
 SANITIZE_ENV = "REPRO_SPAN_KERNEL_SANITIZE"
 
-#: Spans shorter than this stay on the fused python loop — the per-span
-#: state marshalling is O(state), so tiny chunks would pay more moving
-#: state than simulating it.
+#: Spans shorter than this stay on the array core's scalar loop — the
+#: per-span state marshalling is O(state), so tiny chunks would pay more
+#: moving state than simulating it.
 MIN_KERNEL_SLOTS = 192
 
 _SOURCE = Path(__file__).with_name("_spankernel.c")
@@ -90,12 +94,6 @@ _CRIT_INF = (1 << 63) - 1  # INT64_MAX, the C marker for "no critical entry"
 _lock = threading.Lock()
 _kernel = None
 _kernel_tried = False
-
-#: Per-core cache of the ``_bl8`` shift table as an ndarray.  Deliberately
-#: NOT an attribute on the core: streaming checkpoints pickle the core
-#: verbatim, and an embedded ndarray would make the snapshot unloadable on
-#: a host without numpy (the documented no-numpy resume path).
-_bl8_arrays: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 class KCfg(ctypes.Structure):
@@ -111,43 +109,38 @@ class KCfg(ctypes.Structure):
             "cells_in", "cells_out", "dram_reads", "dram_writes", "dropped",
             "max_tail", "max_head", "crit_len", "pending_len",
             "eligible_len", "ecqf_fallback",
-            "n_delays", "n_head_miss", "n_tail_miss", "n_drained",
+            "n_delays", "n_hist", "n_head_miss", "n_tail_miss", "n_drained",
             "arrivals_seen", "grants", "pend_head_out", "pend_flat_off_out",
             "drain_slots",
             "tail_ocap", "dram_ocap", "sram_ocap", "req_ocap", "arr_ocap",
             "pend_cap", "pend_flat_cap", "crit_cap")]
 
 
-_U32P = ctypes.POINTER(ctypes.c_uint32)
-_I64P = ctypes.POINTER(ctypes.c_int64)
-_F64P = ctypes.POINTER(ctypes.c_double)
-_U8P = ctypes.POINTER(ctypes.c_uint8)
-
-
 class KPtrs(ctypes.Structure):
-    """Mirror of ``kptrs`` in ``_spankernel.c`` (field order is the ABI)."""
+    """Mirror of ``kptrs`` in ``_spankernel.c`` (field order is the ABI).
 
-    _fields_ = [
-        ("arb_key", _U32P), ("arb_meta", _I64P),
-        ("bern_key", _U32P), ("bern_meta", _I64P),
-        ("cum_weights", _F64P), ("plan", _U8P), ("bl8", _I64P),
-        ("backlog", _I64P), ("next_seqno", _I64P), ("delivered", _I64P),
-        ("counters", _I64P), ("req_count", _I64P),
-        ("tail_occ", _I64P), ("dram_occ", _I64P), ("crit_cache", _I64P),
-        ("eligible", _I64P),
-        ("sram_icnt", _I64P), ("arr_icnt", _I64P),
-        ("tail_iflat", _I64P), ("dram_iflat", _I64P), ("sram_iflat", _I64P),
-        ("req_iflat", _I64P), ("arr_iflat", _I64P),
-        ("sram_ocnt", _I64P), ("arr_ocnt", _I64P),
-        ("tail_oflat", _I64P), ("dram_oflat", _I64P), ("sram_oflat", _I64P),
-        ("req_oflat", _I64P), ("arr_oflat", _I64P),
-        ("la_ring", _I64P), ("crit_heap", _I64P),
-        ("pending_fin", _I64P), ("pending_q", _I64P),
-        ("pending_cnt", _I64P), ("pending_flat", _I64P),
-        ("delays", _I64P),
-        ("head_miss_q", _I64P), ("head_miss_slot", _I64P),
-        ("drained", _I64P),
-    ]
+    Every field is a buffer address (:func:`_addr`): ``array.array``
+    buffers, ``mmap``-backed padded buffers and the ``c_uint32 * 624`` RNG
+    keys.
+    """
+
+    _fields_ = [(n, ctypes.c_void_p) for n in (
+        "arb_key", "arb_meta", "bern_key", "bern_meta", "cum_weights",
+        "plan",
+        "backlog", "next_seqno", "delivered", "counters", "req_count",
+        "tail_occ", "dram_occ", "crit_cache", "eligible",
+        "sram_icnt", "arr_icnt",
+        "tail_iflat", "dram_iflat", "sram_iflat", "req_iflat", "arr_iflat",
+        "sram_ocnt", "arr_ocnt",
+        "tail_oflat", "dram_oflat", "sram_oflat", "req_oflat", "arr_oflat",
+        "la_ring", "crit_heap",
+        "pending_fin", "pending_q", "pending_cnt", "pending_flat",
+        "delays", "delay_counts",
+        "head_miss_q", "head_miss_slot", "drained")]
+
+
+#: The 624-word Mersenne Twister key, as the kernel reads and writes it.
+_Key = ctypes.c_uint32 * 624
 
 
 def kernel_enabled() -> bool:
@@ -320,7 +313,7 @@ def load_kernel():
                 # Load nothing we do not exclusively own: a pre-planted
                 # cache dir or .so (wrong owner, group/other-writable, or
                 # a symlink) is skipped, not trusted — the engine falls
-                # back to the fused python loop.
+                # back to the scalar loop.
                 if ((path.is_file() or _compile(path))
                         and _trusted(path.parent, want_dir=True)
                         and _trusted(path)):
@@ -340,32 +333,58 @@ def load_kernel():
         return _kernel
 
 
-def _ptr_i64(arr):
-    return arr.ctypes.data_as(_I64P)
+def _addr(buf) -> int:
+    return ctypes.addressof(ctypes.c_char.from_buffer(buf))
 
 
-def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
+def _i64(values=(), size: int = 0):
+    """An int64 buffer holding ``values`` then zeros, at least ``size``
+    entries long and never empty (the kernel never sees a NULL address).
+
+    A padded buffer is anonymous ``mmap`` memory, which the OS faults in
+    only where the kernel writes: the worst-case out sizes below would
+    otherwise zero-fill megabytes per span that the kernel never touches.
+    Sanitized builds pad in ``malloc`` memory instead, where ASan's
+    redzones catch an overflow (``mmap`` pages have none).
+    """
+    size = max(size, 1)
+    head = array("q", values)
+    if len(head) < size and sanitize_enabled():
+        head += array("q", [0]) * (size - len(head))
+    if len(head) >= size:
+        return head
+    buf = memoryview(mmap.mmap(-1, 8 * size)).cast("q")
+    buf[:len(head)] = head
+    return buf
+
+
+def _key(state) -> "ctypes.Array":
+    key = _Key()
+    key[:] = state[1][:624]
+    return key
+
+
+def run_span_kernel(core, plan, num_slots: int, main: bool = True,
                     bern=None, drain_slots: int = 0) -> bool:
     """Run one span on the compiled kernel; ``True`` on success.
 
-    ``aplan`` is the plan ``bytes`` (255 = no arrival) or ``None``;
-    ``bern = (rng, tint, cum_weights, total)`` makes the kernel draw the
-    Bernoulli arrival plan natively instead.  ``drain_slots`` appends that
-    many drain-mode slots after the main window in the *same* call (the
-    monolithic fused path: one marshal instead of two).  On any failure
-    (kernel unavailable, strict-mode abort inside the span, allocation
-    failure) the python core is left untouched and the caller falls back
-    to the fused python loop, which reproduces the exact outcome —
-    including the exception and the post-raise state.
+    ``plan`` is the window's arrival list (``None`` entries for no arrival)
+    or ``None`` for no arrivals; ``bern = (rng, tint, cum_weights, total)``
+    makes the kernel draw the Bernoulli arrival plan natively instead.
+    ``drain_slots`` appends that many drain-mode slots after the main
+    window in the *same* call (the monolithic fused path: one marshal
+    instead of two).  On any failure (kernel unavailable, strict-mode abort
+    inside the span, allocation failure, an out buffer too small) the
+    python core is left untouched and the caller replays the span on the
+    scalar loop, which reproduces the exact outcome — including the
+    exception and the post-raise state.
     """
     fn = load_kernel()
     if fn is None:
         return False
-    import numpy as np
 
     nq = core.num_queues
     g = core.granularity
-    i64 = np.int64
 
     cfg = KCfg()
     cfg.num_queues = nq
@@ -383,20 +402,8 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
     # Out buffers are sized for the whole call, drain window included.
     total_slots = num_slots + drain_slots
 
+    # Every buffer below is a local, so it outlives the C call.
     ptr = KPtrs()
-    keep = []  # keeps every backing array alive across the C call
-
-    def i64arr(values, size=None):
-        arr = np.array(values, dtype=i64)
-        if size is not None and len(arr) < size:
-            arr = np.concatenate([arr, np.zeros(size - len(arr), dtype=i64)])
-        keep.append(arr)
-        return arr
-
-    def out_i64(size):
-        arr = np.empty(max(size, 1), dtype=i64)
-        keep.append(arr)
-        return arr
 
     # -- RNG states -----------------------------------------------------
     rng = core.sim.arbiter._rng if main else None
@@ -404,89 +411,77 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
         from repro.sim.numpy_engine import _gate_threshold
 
         arb_state = rng.getstate()
-        arb_key = np.array(arb_state[1][:624], dtype=np.uint32)
-        arb_meta = i64arr([arb_state[1][624], 0])
+        arb_key = _key(arb_state)
+        arb_meta = _i64([arb_state[1][624], 0])
         cfg.arb_tint = _gate_threshold(core.sim.arbiter.load)
     else:
-        arb_state = None
-        arb_key = np.zeros(624, dtype=np.uint32)
-        arb_meta = i64arr([0, 0])
+        arb_key = _Key()
+        arb_meta = _i64([0, 0])
         cfg.arb_tint = 0
-    keep.append(arb_key)
-    ptr.arb_key = arb_key.ctypes.data_as(_U32P)
-    ptr.arb_meta = _ptr_i64(arb_meta)
+    ptr.arb_key = _addr(arb_key)
+    ptr.arb_meta = _addr(arb_meta)
 
     if bern is not None:
         bern_rng, bern_tint, cum_weights, total = bern
         bern_state = bern_rng.getstate()
-        bern_key = np.array(bern_state[1][:624], dtype=np.uint32)
-        bern_meta = i64arr([bern_state[1][624], 0])
-        cw = np.array(cum_weights, dtype=np.float64)
-        keep.extend([bern_key, cw])
+        bern_key = _key(bern_state)
+        bern_meta = _i64([bern_state[1][624], 0])
+        cw = array("d", cum_weights)
         cfg.plan_mode = 1
         cfg.bern_tint = bern_tint
         cfg.bern_total = total
-        ptr.bern_key = bern_key.ctypes.data_as(_U32P)
-        ptr.bern_meta = _ptr_i64(bern_meta)
-        ptr.cum_weights = cw.ctypes.data_as(_F64P)
-        plan_arr = None
+        ptr.bern_key = _addr(bern_key)
+        ptr.bern_meta = _addr(bern_meta)
+        ptr.cum_weights = _addr(cw)
+    elif main and plan is not None:
+        # Plan bytes: queues 0..253, 255 = no arrival.
+        plan_buf = array("B", [255 if a is None else a
+                               for a in plan[:num_slots]])
+        cfg.plan_mode = 0
+        ptr.plan = _addr(plan_buf)
     else:
-        bern_rng = bern_state = bern_key = bern_meta = None
-        cfg.plan_mode = 0 if (main and aplan is not None) else 2
-        cfg.bern_tint = 0
-        cfg.bern_total = 0.0
-        if cfg.plan_mode == 0:
-            plan_arr = np.frombuffer(bytes(aplan), dtype=np.uint8)
-            keep.append(plan_arr)
-            ptr.plan = plan_arr.ctypes.data_as(_U8P)
-        else:
-            plan_arr = None
-
-    bl8 = _bl8_arrays.get(core)
-    if bl8 is None:
-        bl8 = _bl8_arrays[core] = np.array(core._bl8, dtype=i64)
-    ptr.bl8 = _ptr_i64(bl8)
+        cfg.plan_mode = 2
 
     # -- per-queue scalars ----------------------------------------------
-    backlog = i64arr(core.backlog)
-    next_seqno = i64arr(core.next_seqno)
-    delivered = i64arr(core.delivered)
-    counters = i64arr(core.counters)
-    req_count = i64arr(core.req_count)
-    tail_occ = i64arr(core.tail_occ)
-    dram_occ = i64arr(core.dram_occ)
-    crit_cache = i64arr([_CRIT_INF if v == _INF else v
-                         for v in core.crit_cache])
-    eligible = i64arr(core.eligible, size=nq)
-    for name, arr in (("backlog", backlog), ("next_seqno", next_seqno),
+    backlog = _i64(core.backlog)
+    next_seqno = _i64(core.next_seqno)
+    delivered = _i64(core.delivered)
+    counters = _i64(core.counters)
+    req_count = _i64(core.req_count)
+    tail_occ = _i64(core.tail_occ)
+    dram_occ = _i64(core.dram_occ)
+    crit_cache = _i64([_CRIT_INF if v == _INF else v
+                       for v in core.crit_cache])
+    eligible = _i64(core.eligible, size=nq)
+    for name, buf in (("backlog", backlog), ("next_seqno", next_seqno),
                       ("delivered", delivered), ("counters", counters),
                       ("req_count", req_count), ("tail_occ", tail_occ),
                       ("dram_occ", dram_occ), ("crit_cache", crit_cache),
                       ("eligible", eligible)):
-        setattr(ptr, name, _ptr_i64(arr))
+        setattr(ptr, name, _addr(buf))
     cfg.eligible_len = len(core.eligible)
 
     # -- per-queue contents (live windows, flattened) --------------------
-    sram_icnt = i64arr([len(h) for h in core.sram_heap])
+    sram_icnt = _i64([len(h) for h in core.sram_heap])
     arr_windows = [core.arr_slots[q][core.delivered[q] - core.arr_base[q]:]
                    for q in range(nq)]
-    arr_icnt = i64arr([len(w) for w in arr_windows])
-    tail_iflat = i64arr(list(chain.from_iterable(core.tail_fifo)))
-    dram_iflat = i64arr(list(chain.from_iterable(core.dram_fifo)))
-    sram_iflat = i64arr(list(chain.from_iterable(core.sram_heap)))
-    req_iflat = i64arr(list(chain.from_iterable(
-        core.req_slots[q][core.req_head[q]:] for q in range(nq))))
-    arr_iflat = i64arr(list(chain.from_iterable(arr_windows)))
-    ptr.sram_icnt = _ptr_i64(sram_icnt)
-    ptr.arr_icnt = _ptr_i64(arr_icnt)
-    ptr.tail_iflat = _ptr_i64(tail_iflat)
-    ptr.dram_iflat = _ptr_i64(dram_iflat)
-    ptr.sram_iflat = _ptr_i64(sram_iflat)
-    ptr.req_iflat = _ptr_i64(req_iflat)
-    ptr.arr_iflat = _ptr_i64(arr_iflat)
+    arr_icnt = _i64([len(w) for w in arr_windows])
+    tail_iflat = _i64(chain.from_iterable(core.tail_fifo))
+    dram_iflat = _i64(chain.from_iterable(core.dram_fifo))
+    sram_iflat = _i64(chain.from_iterable(core.sram_heap))
+    req_iflat = _i64(chain.from_iterable(
+        core.req_slots[q][core.req_head[q]:] for q in range(nq)))
+    arr_iflat = _i64(chain.from_iterable(arr_windows))
+    ptr.sram_icnt = _addr(sram_icnt)
+    ptr.arr_icnt = _addr(arr_icnt)
+    ptr.tail_iflat = _addr(tail_iflat)
+    ptr.dram_iflat = _addr(dram_iflat)
+    ptr.sram_iflat = _addr(sram_iflat)
+    ptr.req_iflat = _addr(req_iflat)
+    ptr.arr_iflat = _addr(arr_iflat)
 
-    sram_ocnt = out_i64(nq)
-    arr_ocnt = out_i64(nq)
+    sram_ocnt = _i64(size=nq)
+    arr_ocnt = _i64(size=nq)
     # Worst-case out sizes: cells only enter the machine as arrivals (at
     # most one per main slot), but existing backlog migrates freely — the
     # tail MMA can push the whole tail backlog into DRAM, and replenish can
@@ -495,61 +490,63 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
     # before writing and aborts with ERR_CAP, so a formula gap degrades to
     # the scalar-loop fallback, never an out-of-bounds write.
     backlog_cells = core.tail_total + core.dram_total
-    tail_oflat = out_i64(core.tail_total + total_slots + 8)
-    dram_oflat = out_i64(backlog_cells + total_slots + 8)
+    tail_oflat = _i64(size=core.tail_total + total_slots + 8)
+    dram_oflat = _i64(size=backlog_cells + total_slots + 8)
     pending_cells = sum(len(seqs) for _, _, seqs in core.pending)
-    sram_oflat = out_i64(core.sram_total + pending_cells + backlog_cells
-                         + total_slots + 8)
-    req_oflat = out_i64(len(req_iflat) + total_slots + 8)
-    arr_oflat = out_i64(len(arr_iflat) + total_slots + 8)
-    ptr.sram_ocnt = _ptr_i64(sram_ocnt)
-    ptr.arr_ocnt = _ptr_i64(arr_ocnt)
-    ptr.tail_oflat = _ptr_i64(tail_oflat)
-    ptr.dram_oflat = _ptr_i64(dram_oflat)
-    ptr.sram_oflat = _ptr_i64(sram_oflat)
-    ptr.req_oflat = _ptr_i64(req_oflat)
-    ptr.arr_oflat = _ptr_i64(arr_oflat)
+    sram_oflat = _i64(size=core.sram_total + pending_cells + backlog_cells
+                          + total_slots + 8)
+    req_oflat = _i64(size=len(req_iflat) + total_slots + 8)
+    arr_oflat = _i64(size=len(arr_iflat) + total_slots + 8)
+    ptr.sram_ocnt = _addr(sram_ocnt)
+    ptr.arr_ocnt = _addr(arr_ocnt)
+    ptr.tail_oflat = _addr(tail_oflat)
+    ptr.dram_oflat = _addr(dram_oflat)
+    ptr.sram_oflat = _addr(sram_oflat)
+    ptr.req_oflat = _addr(req_oflat)
+    ptr.arr_oflat = _addr(arr_oflat)
     cfg.tail_ocap = len(tail_oflat)
     cfg.dram_ocap = len(dram_oflat)
     cfg.sram_ocap = len(sram_oflat)
     cfg.req_ocap = len(req_oflat)
     cfg.arr_ocap = len(arr_oflat)
 
-    la_ring = i64arr([-1 if v is None else v for v in core.lookahead])
-    ptr.la_ring = _ptr_i64(la_ring)
+    la_ring = _i64([-1 if v is None else v for v in core.lookahead])
+    ptr.la_ring = _addr(la_ring)
     cfg.la_pos = core.la_pos
 
-    crit_heap = i64arr([(entered << 16) | queue
-                        for entered, queue in core.crit_heap],
-                       size=len(core.crit_heap) + 3 * total_slots + 16)
-    ptr.crit_heap = _ptr_i64(crit_heap)
+    crit_heap = _i64([(entered << 16) | queue
+                      for entered, queue in core.crit_heap],
+                     size=len(core.crit_heap) + 3 * total_slots + 16)
+    ptr.crit_heap = _addr(crit_heap)
     cfg.crit_len = len(core.crit_heap)
     cfg.crit_cap = len(crit_heap)
 
     pend_cap = len(core.pending) + total_slots // g + 4
-    pending_fin = i64arr([fin for fin, _, _ in core.pending], size=pend_cap)
-    pending_q = i64arr([q for _, q, _ in core.pending], size=pend_cap)
-    pending_cnt = i64arr([len(seqs) for _, _, seqs in core.pending],
-                         size=pend_cap)
-    pending_flat = i64arr(list(chain.from_iterable(
-        seqs for _, _, seqs in core.pending)),
+    pending_fin = _i64([fin for fin, _, _ in core.pending], size=pend_cap)
+    pending_q = _i64([q for _, q, _ in core.pending], size=pend_cap)
+    pending_cnt = _i64([len(seqs) for _, _, seqs in core.pending],
+                       size=pend_cap)
+    pending_flat = _i64(chain.from_iterable(
+        seqs for _, _, seqs in core.pending),
         size=pending_cells + total_slots + g + 8)
-    ptr.pending_fin = _ptr_i64(pending_fin)
-    ptr.pending_q = _ptr_i64(pending_q)
-    ptr.pending_cnt = _ptr_i64(pending_cnt)
-    ptr.pending_flat = _ptr_i64(pending_flat)
+    ptr.pending_fin = _addr(pending_fin)
+    ptr.pending_q = _addr(pending_q)
+    ptr.pending_cnt = _addr(pending_cnt)
+    ptr.pending_flat = _addr(pending_flat)
     cfg.pending_len = len(core.pending)
     cfg.pend_cap = len(pending_fin)
     cfg.pend_flat_cap = len(pending_flat)
 
-    delays = out_i64(num_slots)
-    head_miss_q = out_i64(total_slots)
-    head_miss_slot = out_i64(total_slots)
-    drained = out_i64(total_slots)
-    ptr.delays = _ptr_i64(delays)
-    ptr.head_miss_q = _ptr_i64(head_miss_q)
-    ptr.head_miss_slot = _ptr_i64(head_miss_slot)
-    ptr.drained = _ptr_i64(drained)
+    delays = _i64(size=num_slots)
+    delay_counts = _i64(size=num_slots)
+    head_miss_q = _i64(size=total_slots)
+    head_miss_slot = _i64(size=total_slots)
+    drained = _i64(size=total_slots)
+    ptr.delays = _addr(delays)
+    ptr.delay_counts = _addr(delay_counts)
+    ptr.head_miss_q = _addr(head_miss_q)
+    ptr.head_miss_slot = _addr(head_miss_slot)
+    ptr.drained = _addr(drained)
 
     # -- remaining scalars ----------------------------------------------
     cfg.tail_total = core.tail_total
@@ -567,9 +564,9 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
     rc = fn(ctypes.byref(cfg), ctypes.byref(ptr))
     obs = get_metrics()
     if rc != _ERR_OK:
-        # Nothing was written back: the arrays above are copies, the python
-        # core is untouched — the caller's fused loop replays the span and
-        # raises (or recovers) with the exact reference state.
+        # Nothing was written back: the buffers above are copies, the
+        # python core is untouched — the caller's scalar loop replays the
+        # span and raises (or recovers) with the exact reference state.
         if obs is not None:
             obs.inc("engine.numpy.kernel_aborts")
         return False
@@ -603,8 +600,8 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
             off += cnt
         return segs
 
-    new_sram_cnt = sram_ocnt.tolist()
-    new_arr_cnt = arr_ocnt.tolist()
+    new_sram_cnt = sram_ocnt[:nq].tolist()
+    new_arr_cnt = arr_ocnt[:nq].tolist()
     tail_segs = split(tail_oflat, new_tail_occ)
     dram_segs = split(dram_oflat, new_dram_occ)
     sram_segs = split(sram_oflat, new_sram_cnt)
@@ -651,11 +648,12 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
     core.max_tail = cfg.max_tail
     core.max_head = cfg.max_head
 
-    if cfg.n_delays:
+    if cfg.n_hist:
+        # The kernel folded its delays into ascending (delay, count) pairs.
         hist = core.hist
-        values, counts = np.unique(delays[:cfg.n_delays],
-                                   return_counts=True)
-        for delay, count in zip(values.tolist(), counts.tolist()):
+        n_hist = cfg.n_hist
+        for delay, count in zip(delays[:n_hist].tolist(),
+                                delay_counts[:n_hist].tolist()):
             hist[delay] = hist.get(delay, 0) + count
     if cfg.n_drained:
         core.drained.extend(drained[:cfg.n_drained].tolist())
@@ -673,10 +671,8 @@ def run_span_kernel(core, aplan, num_slots: int, main: bool = True,
         core.arrivals_count += cfg.arrivals_seen
         core.departures += cfg.n_delays
         core.idle_requests += num_slots - cfg.grants
-        rng.setstate((3, tuple(arb_key.tolist()) + (int(arb_meta[0]),),
-                      arb_state[2]))
-    if bern_rng is not None:
-        bern_rng.setstate((3, tuple(bern_key.tolist())
-                           + (int(bern_meta[0]),), bern_state[2]))
-    del keep
+        rng.setstate((3, tuple(arb_key[:]) + (arb_meta[0],), arb_state[2]))
+    if bern is not None:
+        bern_rng.setstate((3, tuple(bern_key[:]) + (bern_meta[0],),
+                           bern_state[2]))
     return True

@@ -6,10 +6,9 @@ the *generative* extension of that net: :func:`sample_scenario` and
 :func:`sample_switch_scenario` draw structurally valid but adversarial specs
 — heavy-tailed WAN/datacenter mixes, lossy bounded-DRAM configs, custom-MMA
 paths, 64–256-port incast/permutation switches — and :func:`run_case` runs
-every sampled spec through every available engine (the three pure-python
-engines plus, when the optional dependency is installed, ``numpy``),
-monolithic *and* streamed, with random chunk/warmup/checkpoint boundaries,
-asserting bit-identical reports.
+every sampled spec through every engine (``reference``, ``batched``,
+``array`` and ``numpy``), monolithic *and* streamed, with random
+chunk/warmup/checkpoint boundaries, asserting bit-identical reports.
 
 Everything is a pure function of ``(master_seed, index)``: a diverging case
 is dumped as a replayable JSON artifact carrying exactly those coordinates
@@ -19,8 +18,8 @@ legs must either produce the same report or raise the same error; a config
 that crashes one engine and not another is a divergence, not a crash.
 
 This is the check every perf backend merges against: first make the
-fuzzer pass, then optimise.  The numpy backend (and its optional compiled
-span kernel) earned its place in ``ENGINES`` exactly this way.
+fuzzer pass, then optimise.  The numpy backend (and its compiled span
+kernel) earned its place in ``ENGINES`` exactly this way.
 """
 
 from __future__ import annotations
@@ -40,13 +39,8 @@ from repro.workloads.scenario import Scenario
 #: Default master seed — frozen so CI and a local repro draw the same cases.
 DEFAULT_MASTER_SEED = 20260807
 
-from repro.sim.numpy_engine import NUMPY_AVAILABLE
-
-#: Engines whose reports must agree bit for bit.  The numpy backend joins
-#: the net only when the optional dependency is importable — the three
-#: pure-python engines keep the fuzzer meaningful without it.
-ENGINES = (("reference", "batched", "array", "numpy")
-           if NUMPY_AVAILABLE else ("reference", "batched", "array"))
+#: Engines whose reports must agree bit for bit.
+ENGINES = ("reference", "batched", "array", "numpy")
 
 #: Per-case seed spread (a large prime, mirroring the streaming tests).
 _CASE_STRIDE = 1_000_003

@@ -3,8 +3,6 @@ nothing else."""
 
 import ctypes
 
-import numpy as np
-
 
 class _ArrayCoreBase:
     pass
@@ -12,7 +10,7 @@ class _ArrayCoreBase:
 
 class FixtureCore(_ArrayCoreBase):
     def __init__(self, n):
-        self.backlog = np.zeros(n)  # ndarray pickled with the core
+        self.backlog = (ctypes.c_int64 * n)()  # pickled with the core
 
 
 def bridge(core, n):

@@ -1,7 +1,7 @@
 """Cross-engine differential fuzzer.
 
-The simulation engines (``reference``, ``batched``, ``array`` and, when the
-optional dependency is installed, ``numpy``) promise bit-identical reports.  The hand-written equivalence suites check that
+The simulation engines (``reference``, ``batched``, ``array`` and ``numpy``)
+promise bit-identical reports.  The hand-written equivalence suites check that
 promise on the registered scenarios; this fuzzer checks it on ~50 *random*
 configurations drawn from a seeded RNG — scheme, queue count, granularity,
 SRAM/DRAM bounds, lossy/lossless mode, arrival process, arbiter and drain
@@ -19,16 +19,12 @@ import random
 
 import pytest
 
-from repro.sim.numpy_engine import NUMPY_AVAILABLE
 from repro.workloads.scenario import Scenario
 
 SEED = int(os.environ.get("REPRO_DIFFERENTIAL_SEED", "20260729"))
 NUM_CASES = int(os.environ.get("REPRO_DIFFERENTIAL_CASES", "50"))
 
-# The numpy engine (vectorized plans + optional compiled span kernel) joins
-# every leg when importable; its absence must not weaken the pure-python net.
-ENGINES = (("reference", "batched", "array", "numpy")
-           if NUMPY_AVAILABLE else ("reference", "batched", "array"))
+ENGINES = ("reference", "batched", "array", "numpy")
 
 
 def _arrival_spec(rng: random.Random, num_queues: int) -> dict:

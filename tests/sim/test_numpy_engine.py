@@ -1,12 +1,15 @@
 """Acceptance tests: ``engine="numpy"`` is bit-identical to the array
 engine on every registered scenario and every edge mode, with and without
-the compiled span kernel, and degrades to a clear error without numpy."""
+the compiled span kernel, and runs with numpy unimportable."""
 
 import base64
 import json
 import os
 import pickle
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -20,23 +23,19 @@ from repro.core.config import CFDSConfig
 from repro.rads.buffer import RADSPacketBuffer
 from repro.rads.config import RADSConfig
 from repro.sim import kernel as span_kernel
-from repro.sim import numpy_engine
 from repro.obs.metrics import using_metrics
 from repro.sim.engine import ClosedLoopSimulation
-from repro.sim.numpy_engine import NUMPY_AVAILABLE
 from repro.sim.streaming import StreamingSimulation, resume_stream
-from repro.workloads.registry import get_scenario
 from repro.traffic.arbiters import OldestCellArbiter, RandomArbiter
 from repro.traffic.arrivals import BernoulliArrivals
 from repro.workloads import Scenario, all_scenarios
-from repro.workloads.registry import scenario_names
+from repro.workloads.registry import get_scenario, scenario_names
 
-requires_numpy = pytest.mark.skipif(not NUMPY_AVAILABLE,
-                                    reason="numpy not installed")
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: Both execution tiers of the RADS core: the compiled span kernel (when it
-#: loads — without a compiler this leg just re-runs the fused loop) and the
-#: pure-python fused loop (kernel force-disabled).
+#: loads — without a compiler this leg just re-runs the scalar loop) and the
+#: array core's scalar loop (kernel force-disabled).
 KERNEL_MODES = ("kernel", "no-kernel")
 
 
@@ -73,7 +72,6 @@ def run_both(make_sim, num_slots, drain=True):
 # The registered suite, through both kernel modes.
 # --------------------------------------------------------------------- #
 
-@requires_numpy
 @pytest.mark.parametrize("name", scenario_names())
 def test_numpy_identical_on_registered_scenarios(name, kernel_mode):
     scenario = next(s for s in all_scenarios() if s.name == name)
@@ -82,7 +80,6 @@ def test_numpy_identical_on_registered_scenarios(name, kernel_mode):
     assert_reports_identical(array, numpy)
 
 
-@requires_numpy
 @pytest.mark.parametrize("name", scenario_names())
 def test_numpy_identical_without_drain(name, kernel_mode):
     scenario = next(s for s in all_scenarios() if s.name == name)
@@ -91,9 +88,8 @@ def test_numpy_identical_without_drain(name, kernel_mode):
     assert_reports_identical(array, numpy)
 
 
-@requires_numpy
 def test_numpy_identical_with_trace_recorded():
-    """A traced run cannot use the fused loop (the trace needs per-slot
+    """A traced run cannot use the span kernel (the trace needs per-slot
     events) — the scalar delegation must still be bit-identical, trace
     included."""
     scenario = next(s for s in all_scenarios()
@@ -108,7 +104,6 @@ def test_numpy_identical_with_trace_recorded():
 # Edge modes: fill-only, drain-only, zero/one slot, lossy, no drain.
 # --------------------------------------------------------------------- #
 
-@requires_numpy
 def test_fill_only_run(kernel_mode):
     """No arbiter: the buffer only fills; both engines agree."""
     def make_sim():
@@ -122,7 +117,6 @@ def test_fill_only_run(kernel_mode):
     assert numpy.throughput.departures == 0
 
 
-@requires_numpy
 def test_drain_only_run(kernel_mode):
     """No arrivals: idle request slots only; both engines agree."""
     def make_sim():
@@ -134,7 +128,6 @@ def test_drain_only_run(kernel_mode):
     assert numpy.throughput.arrivals == 0
 
 
-@requires_numpy
 @pytest.mark.parametrize("num_slots", [0, 1])
 def test_degenerate_slot_counts(num_slots, kernel_mode):
     def make_sim():
@@ -146,7 +139,6 @@ def test_degenerate_slot_counts(num_slots, kernel_mode):
     assert_reports_identical(array, numpy)
 
 
-@requires_numpy
 @pytest.mark.parametrize("drain", [True, False])
 def test_lossy_run_counts_identical_drops(drain, kernel_mode):
     """strict=False with a bounded DRAM: overflow blocks are clamped to
@@ -163,7 +155,6 @@ def test_lossy_run_counts_identical_drops(drain, kernel_mode):
     assert numpy.throughput.drops > 0
 
 
-@requires_numpy
 def test_strict_overflow_raises_identically(kernel_mode):
     """A strict-mode overflow aborts the kernel; the python replay must
     surface the same exception the array engine raises."""
@@ -180,9 +171,8 @@ def test_strict_overflow_raises_identically(kernel_mode):
     assert str(numpy_exc.value) == str(array_exc.value)
 
 
-@requires_numpy
 def test_cfds_falls_back_to_array_core(kernel_mode):
-    """CFDS has no fused core: engine="numpy" must transparently run the
+    """CFDS has no span kernel: engine="numpy" must transparently run the
     array core and match it."""
     def make_sim():
         return ClosedLoopSimulation(
@@ -197,7 +187,6 @@ def test_cfds_falls_back_to_array_core(kernel_mode):
 # Selection plumbing and failure modes.
 # --------------------------------------------------------------------- #
 
-@requires_numpy
 def test_numpy_engine_requires_fresh_buffer():
     buffer = _build_buffer("rads")
     buffer.step(None, None)
@@ -206,7 +195,6 @@ def test_numpy_engine_requires_fresh_buffer():
         sim.run(10, engine="numpy")
 
 
-@requires_numpy
 def test_numpy_engine_rejects_second_run():
     sim = ClosedLoopSimulation(_build_buffer("rads"),
                                BernoulliArrivals(8, load=0.5, seed=3),
@@ -216,15 +204,71 @@ def test_numpy_engine_rejects_second_run():
         sim.run(200, engine="numpy")
 
 
+#: Run in a child interpreter with the numpy module blocked.
+_NUMPY_BLOCKED = textwrap.dedent("""
+    import sys
+    sys.modules["numpy"] = None
+
+    import repro
+    from repro.obs.metrics import using_metrics
+    from repro.sim.kernel import load_kernel
+    from repro.sim.streaming import resume_stream
+    from repro.workloads.registry import get_scenario
+
+    assert not [name for name in sys.modules if name.startswith("numpy.")]
+
+    scenario = get_scenario("uniform-bernoulli")
+    def run(engine, **stream_kw):
+        sim = scenario.build_simulation()
+        if not stream_kw:
+            return sim.run(scenario.num_slots, engine=engine)
+        return sim.run_stream(scenario.num_slots, engine=engine, **stream_kw)
+
+    with using_metrics() as registry:
+        assert run("numpy") == run("array")
+        streamed = run("numpy", chunk_slots=500)
+        assert streamed == run("array", chunk_slots=500)
+        checkpointed = run("numpy", chunk_slots=500, checkpoint_every=1000,
+                           checkpoint_path=sys.argv[1])
+        assert checkpointed == streamed
+        assert resume_stream(sys.argv[1]) == streamed
+    if load_kernel() is not None:
+        assert registry.counter("engine.numpy.kernel_spans") > 0
+    assert sys.modules["numpy"] is None
+    print("ok")
+""")
+
+
+def test_numpy_engine_runs_with_numpy_blocked(tmp_path):
+    """numpy is not a dependency: with it unimportable, ``import repro``
+    works and leaves it unimported, ``engine="numpy"`` equals the array
+    engine monolithic, streamed and through a checkpoint written after
+    kernel spans and resumed, and the span kernel runs whenever it loads."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_BLOCKED, str(tmp_path / "ckpt.json")],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
 def test_missing_numpy_is_a_configuration_error(monkeypatch):
-    """Without the optional dependency, engine="numpy" must fail with a
-    ConfigurationError that names the extra — not an ImportError."""
-    monkeypatch.setattr(numpy_engine, "_np", None)
-    sim = ClosedLoopSimulation(
-        _build_buffer("rads"), BernoulliArrivals(8, load=0.5, seed=3),
-        RandomArbiter(8, seed=4))
-    with pytest.raises(ConfigurationError, match=r"\[numpy\]"):
-        sim.run(100, engine="numpy")
+    """numpy is no longer a dependency, so a missing numpy is no longer a
+    configuration error: with it blocked, engine="numpy" runs and matches
+    the array engine, and ConfigurationError is left for engine names that
+    do not exist."""
+    monkeypatch.setitem(sys.modules, "numpy", None)
+
+    def make_sim():
+        return ClosedLoopSimulation(
+            _build_buffer("rads"), BernoulliArrivals(8, load=0.5, seed=3),
+            RandomArbiter(8, seed=4))
+
+    assert_reports_identical(*run_both(make_sim, 100))
+    with pytest.raises(ConfigurationError, match="numpy"):
+        make_sim().run(100, engine="warp")
 
 
 def test_kernel_kill_switch(monkeypatch):
@@ -236,7 +280,6 @@ def test_kernel_kill_switch(monkeypatch):
     assert span_kernel.kernel_enabled()
 
 
-@requires_numpy
 def test_unknown_engine_error_names_numpy():
     sim = ClosedLoopSimulation(_build_buffer("rads"))
     with pytest.raises(ConfigurationError, match="numpy"):
@@ -279,7 +322,6 @@ def stream_numpy_vs_array(make_sim, num_slots=STREAM_SLOTS, **stream_kw):
     return numpy, registry.counter("engine.numpy.deferred_spans")
 
 
-@requires_numpy
 @pytest.mark.parametrize("chunk_slots,num_slots", [
     (191, STREAM_SLOTS), (192, STREAM_SLOTS), (1000, STREAM_SLOTS),
     (65536, STREAM_SLOTS), (1000, 4321)])
@@ -295,7 +337,6 @@ def test_streamed_deferred_chunks_identical(chunk_slots, num_slots,
                                                       engine="numpy"))
 
 
-@requires_numpy
 @pytest.mark.parametrize("warmup_slots", [1100, 1500])
 def test_streamed_deferred_warmup_mid_chunk(warmup_slots, kernel_mode):
     """The window holding the warmup boundary is cut before planning: two
@@ -309,7 +350,6 @@ def test_streamed_deferred_warmup_mid_chunk(warmup_slots, kernel_mode):
     assert numpy.throughput.slots == monolithic.throughput.slots - warmup_slots
 
 
-@requires_numpy
 def test_streamed_deferred_checkpoint_resume(tmp_path, kernel_mode):
     """Checkpoint marks land mid-chunk (1700, 3400); the run resumed from
     the last one draws its remaining window deferred from the restored RNG
@@ -328,7 +368,6 @@ def test_streamed_deferred_checkpoint_resume(tmp_path, kernel_mode):
                                                         engine="numpy"))
 
 
-@requires_numpy
 def test_streamed_shared_rng_materializes(kernel_mode):
     """Arrivals and arbiter drawing from one ``Random``: the plan's words
     must be consumed before the arbiter's, so no window defers.  (Such a
@@ -342,7 +381,6 @@ def test_streamed_shared_rng_materializes(kernel_mode):
     assert_reports_identical(*run_both(make_sim, STREAM_SLOTS))
 
 
-@requires_numpy
 @pytest.mark.parametrize("weights,load,defers", [
     ([0, 3, 0, 1, 0, 0, 2, 0], 0.85, True),
     ([0] * 8, 0.0, False),
@@ -359,7 +397,6 @@ def test_streamed_zero_weight_queues(weights, load, defers, kernel_mode):
                                                    engine="numpy"))
 
 
-@requires_numpy
 @pytest.mark.parametrize("num_queues,defers", [(254, True), (255, False)])
 def test_streamed_queue_id_byte_limit(num_queues, defers, kernel_mode):
     """A plan byte holds queues 0..253 (255 means no arrival): 254 queues
@@ -381,7 +418,6 @@ class _ShiftedSliceArrivals(BernoulliArrivals):
                 for q in super().arrivals_slice(start_slot, num_slots)]
 
 
-@requires_numpy
 def test_streamed_custom_arrivals_slice_is_honoured(kernel_mode):
     """A subclass whose ``arrivals_slice`` differs from the stock one must
     not be deferred: the kernel's native draw would bypass the override."""
@@ -395,7 +431,6 @@ def test_streamed_custom_arrivals_slice_is_honoured(kernel_mode):
     assert numpy.latency != stock.latency
 
 
-@requires_numpy
 def test_rads_stream_shape_defers_every_main_chunk(kernel_mode):
     """A shortened long-horizon RADS stream (32 queues, Bernoulli 0.85,
     random arbiter 0.9, 65,536-slot chunks): every main chunk is handed a
@@ -421,7 +456,6 @@ def test_rads_stream_shape_defers_every_main_chunk(kernel_mode):
 # Span-kernel hardening (review regressions).
 # --------------------------------------------------------------------- #
 
-@requires_numpy
 def test_streamed_backlog_migration_identical(kernel_mode):
     """Streamed chunks over a machine with a large migrating backlog: a
     rarely-granting arbiter and one hot queue make the tail MMA push far
@@ -440,42 +474,63 @@ def test_streamed_backlog_migration_identical(kernel_mode):
     assert numpy.throughput.arrivals > 3000
 
 
-@requires_numpy
-def test_checkpoint_after_kernel_span_is_numpy_free(tmp_path):
-    """A checkpoint written after kernel-backed spans must not embed any
-    numpy object — the documented contract is that snapshots resume on
-    hosts without the optional extra (scalar-loop fallback)."""
+def test_checkpoint_after_kernel_span_is_numpy_free(tmp_path, monkeypatch):
+    """A checkpoint written after kernel-backed spans embeds no numpy
+    object: it resumes bit-identically and its payload unpickles with
+    numpy blocked."""
     if span_kernel.load_kernel() is None:
         pytest.skip("no C compiler: the span kernel never ran")
     scenario = get_scenario("uniform-bernoulli")
     uninterrupted = scenario.build_simulation().run_stream(
         scenario.num_slots, engine="numpy", chunk_slots=500)
 
-    session = StreamingSimulation(scenario.build_simulation(),
-                                  scenario.num_slots, engine="numpy",
-                                  chunk_slots=500)
-    arrivals = session.sim.arrivals
-    while session.slot < 1000:
-        count = min(session.chunk_slots, 1000 - session.slot)
-        session._execute(list(arrivals.arrivals_slice(session.slot, count)))
+    with using_metrics() as registry:
+        session = StreamingSimulation(scenario.build_simulation(),
+                                      scenario.num_slots, engine="numpy",
+                                      chunk_slots=500)
+        arrivals = session.sim.arrivals
+        while session.slot < 1000:
+            count = min(session.chunk_slots, 1000 - session.slot)
+            session._execute(list(arrivals.arrivals_slice(session.slot,
+                                                          count)))
+    assert registry.counter("engine.numpy.kernel_spans") > 0
     path = tmp_path / "kernel.ckpt.json"
     session.save_checkpoint(path)
-    resumed = resume_stream(path)
-    assert_reports_identical(resumed, uninterrupted)
+    assert_reports_identical(resume_stream(path), uninterrupted)
 
-    # The snapshot must unpickle on a host with no numpy at all: block
-    # every numpy module and load the payload (an embedded ndarray would
-    # raise ImportError here).
     blob = base64.b64decode(json.loads(path.read_text())["state_b64"])
-    numpy_mods = {name: mod for name, mod in sys.modules.items()
-                  if name == "numpy" or name.startswith("numpy.")}
-    try:
-        for name in numpy_mods:
-            sys.modules[name] = None
-        state = pickle.loads(blob)
-    finally:
-        sys.modules.update(numpy_mods)
-    assert state["slot"] == 1000
+    for name in [name for name in sys.modules
+                 if name.partition(".")[0] == "numpy"] + ["numpy"]:
+        monkeypatch.setitem(sys.modules, name, None)
+    assert pickle.loads(blob)["slot"] == 1000
+
+
+@pytest.mark.parametrize("arbiter_load,lossy", [
+    (0.5, False), (0.05, False), (0.5, True)])
+def test_delay_fold_over_growing_backlog(arbiter_load, lossy, kernel_mode):
+    """The arbiter grants less than arrives, so backlog and delays keep
+    growing: late spans fold delays far longer than the span itself.  At
+    load 0.5 the kernel tallies the delay range; at 0.05 the few
+    departures spread over a range much wider than their count, so it
+    sorts instead.  The lossy variant drops cells at a bounded DRAM."""
+    def make_sim():
+        overrides = dict(dram_cells=1024, strict=False) if lossy else {}
+        return ClosedLoopSimulation(
+            _build_buffer("rads", **overrides),
+            BernoulliArrivals(8, load=0.9, seed=51),
+            RandomArbiter(8, seed=52, load=arbiter_load))
+
+    reference = make_sim().run_stream(6000, engine="reference",
+                                      chunk_slots=500)
+    for chunk_slots in (500, 6000):
+        assert_reports_identical(
+            make_sim().run_stream(6000, engine="numpy",
+                                  chunk_slots=chunk_slots), reference)
+    assert_reports_identical(make_sim().run_stream(
+        6000, engine="array", chunk_slots=500), reference)
+    assert max(d for d, _ in reference.latency.histogram_items()) > 2000
+    if lossy:
+        assert reference.throughput.drops > 0
 
 
 def test_kernel_cache_is_private(monkeypatch, tmp_path):
