@@ -182,7 +182,13 @@ class CFDSPacketBuffer:
 
     def dram_group_occupancy(self) -> List[int]:
         """Cells stored per bank group — the DRAM-utilisation view used by the
-        fragmentation/renaming experiments."""
+        fragmentation/renaming experiments.
+
+        Reflects runs that step this buffer (the reference and batched
+        engines).  The array engine keeps its placement state on its own
+        core and never steps the buffer, so after an array-engine run this
+        still reads the initial, empty state.
+        """
         if self.renaming is not None:
             return self.renaming.group_occupancy()
         return list(self._group_occupancy)
@@ -190,7 +196,8 @@ class CFDSPacketBuffer:
     def dram_utilisation(self) -> float:
         """Fraction of the total group capacity currently holding cells
         (1.0 means the DRAM is completely usable; low values under load are
-        the fragmentation symptom)."""
+        the fragmentation symptom).  Like :meth:`dram_group_occupancy`, it
+        reads the initial state after an array-engine run."""
         if self.group_capacity_cells is None:
             return 0.0
         total_capacity = self.group_capacity_cells * self.mapping.num_groups

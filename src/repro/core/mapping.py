@@ -57,6 +57,16 @@ class CFDSBankMapping:
                 f"M ({self.num_banks}) must be a multiple of B/b ({banks_per_group})")
         if self.queue_capacity_blocks <= 0:
             raise ConfigurationError("queue_capacity_blocks must be positive")
+        # Derived constants for the per-request lookups (frozen instance,
+        # hence object.__setattr__; not fields, so eq/hash/repr ignore them).
+        num_groups = self.num_banks // banks_per_group
+        object.__setattr__(self, "_banks_per_group", banks_per_group)
+        object.__setattr__(self, "_num_groups", num_groups)
+        object.__setattr__(self, "_addresses", tuple(
+            BankAddress(group=group, bank_in_group=offset,
+                        bank=group * banks_per_group + offset)
+            for group in range(num_groups)
+            for offset in range(banks_per_group)))
 
     # ------------------------------------------------------------------ #
     # Structural properties
@@ -64,12 +74,12 @@ class CFDSBankMapping:
     @property
     def banks_per_group(self) -> int:
         """Number of banks per group, ``B/b``."""
-        return self.dram_access_slots // self.granularity
+        return self._banks_per_group
 
     @property
     def num_groups(self) -> int:
         """Number of groups ``G = M / (B/b)``."""
-        return self.num_banks // self.banks_per_group
+        return self._num_groups
 
     @property
     def queues_per_group(self) -> int:
@@ -81,19 +91,19 @@ class CFDSBankMapping:
     # ------------------------------------------------------------------ #
     def group_of(self, queue: int) -> int:
         """Group a queue is statically assigned to (low-order queue bits)."""
-        self._check_queue(queue)
-        return queue % self.num_groups
+        if not 0 <= queue < self.num_queues:
+            self._check_queue(queue)
+        return queue % self._num_groups
 
     def bank_of(self, queue: int, block_index: int) -> BankAddress:
         """Absolute bank holding block ``block_index`` of ``queue``."""
-        self._check_queue(queue)
+        if not 0 <= queue < self.num_queues:
+            self._check_queue(queue)
         if block_index < 0:
             raise ValueError("block_index must be non-negative")
-        group = self.group_of(queue)
-        bank_in_group = block_index % self.banks_per_group
-        return BankAddress(group=group,
-                           bank_in_group=bank_in_group,
-                           bank=group * self.banks_per_group + bank_in_group)
+        per_group = self._banks_per_group
+        return self._addresses[(queue % self._num_groups) * per_group
+                               + block_index % per_group]
 
     # ------------------------------------------------------------------ #
     # Flat address encode/decode (Figure 6)

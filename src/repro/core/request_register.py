@@ -82,25 +82,21 @@ class RequestRegister:
         Returns ``None`` when no entry is ready (all pending requests target
         locked banks, or the register is empty).
         """
-        ready = self.wake_up(locked_banks)
-        chosen_index: Optional[int] = None
-        for index, is_ready in enumerate(ready):
-            if is_ready:
-                chosen_index = index
-                break
-        if chosen_index is None:
-            # Nothing could be issued this period: every pending entry loses
-            # an opportunity.
-            for entry in self._entries:
-                entry.skips += 1
-                self._max_skips_observed = max(self._max_skips_observed, entry.skips)
-            return None
-        for entry in self._entries[:chosen_index]:
-            entry.skips += 1
-            self._max_skips_observed = max(self._max_skips_observed, entry.skips)
-        chosen = self._entries.pop(chosen_index)
-        self._issued += 1
-        return chosen
+        entries = self._entries
+        max_skips = self._max_skips_observed
+        for index, entry in enumerate(entries):
+            if entry.bank not in locked_banks:
+                self._max_skips_observed = max_skips
+                self._issued += 1
+                return entries.pop(index)
+            skips = entry.skips + 1
+            entry.skips = skips
+            if skips > max_skips:
+                max_skips = skips
+        # Nothing could be issued this period: every pending entry lost an
+        # opportunity.
+        self._max_skips_observed = max_skips
+        return None
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -31,6 +31,9 @@ from repro.dram.dram import BankedDRAM
 from repro.dram.timing import DRAMTiming
 from repro.types import ReplenishRequest, TransferJob
 
+#: ``_next_finish`` while nothing is in flight.
+_NEVER = float("inf")
+
 
 @dataclass
 class CompletedTransfer:
@@ -94,7 +97,12 @@ class DRAMSchedulerSubsystem:
         timing = DRAMTiming(random_access_slots=config.effective_dram_random_access_slots,
                             num_banks=config.num_banks)
         self.dram = BankedDRAM(timing, strict=config.strict)
+        self._granularity = config.granularity
         self._in_flight: List[Tuple[TransferJob, object]] = []
+        # Earliest finish slot over *all* in-flight jobs (a non-strict bank
+        # conflict serialises an access behind its predecessor, so jobs do
+        # not finish in issue order): ``tick`` collects nothing before it.
+        self._next_finish = _NEVER
         self._max_total_delay = 0
         self._issue_opportunities = 0
         self._stalled_periods = 0
@@ -116,8 +124,9 @@ class DRAMSchedulerSubsystem:
     def tick(self, slot: int) -> List[CompletedTransfer]:
         """Advance one slot: collect completed accesses and, on issue-period
         boundaries, let the DSA start one new access."""
-        completed = self._collect_completed(slot)
-        if slot % self.config.granularity == 0:
+        completed = (self._collect_completed(slot)
+                     if slot >= self._next_finish else [])
+        if slot % self._granularity == 0:
             self._issue(slot)
         return completed
 
@@ -163,37 +172,48 @@ class DRAMSchedulerSubsystem:
     # Internals
     # ------------------------------------------------------------------ #
     def _collect_completed(self, slot: int) -> List[CompletedTransfer]:
+        """Hand back the jobs finished by ``slot``; called only once the
+        earliest in-flight job has finished, so ``done`` is never empty."""
         done: List[CompletedTransfer] = []
-        if not self._in_flight:
-            return done
         still: List[Tuple[TransferJob, object]] = []
+        next_finish = _NEVER
         for job, payload in self._in_flight:
-            if job.finish_slot <= slot:
+            finish = job.finish_slot
+            if finish <= slot:
                 done.append(CompletedTransfer(
                     request=job.request, payload=payload, bank=job.bank,
-                    issue_slot=job.start_slot, finish_slot=job.finish_slot))
-                delay = job.finish_slot - job.request.issue_slot
+                    issue_slot=job.start_slot, finish_slot=finish))
+                delay = finish - job.request.issue_slot
                 if delay > self._max_total_delay:
                     self._max_total_delay = delay
             else:
                 still.append((job, payload))
+                if finish < next_finish:
+                    next_finish = finish
         self._in_flight = still
+        self._next_finish = next_finish
         # Keep the banked-DRAM's own completion list drained as well.
         self.dram.pop_completed(slot)
         return done
 
     def _issue(self, slot: int) -> None:
-        if self.request_register.occupancy() > 0:
-            self._issue_opportunities += 1
+        register = self.request_register
+        if not register.occupancy():
+            self.ongoing.advance()
+            return
+        self._issue_opportunities += 1
         locked = self.ongoing.locked_banks()
         issued_banks = []
         for _ in range(self.issues_per_period):
-            entry = self.request_register.select(locked | set(issued_banks))
+            entry = register.select(locked)
             if entry is None:
                 break
             job = self.dram.start_access(entry.request, entry.bank, slot)
             self._in_flight.append((job, entry.payload))
+            if job.finish_slot < self._next_finish:
+                self._next_finish = job.finish_slot
             issued_banks.append(entry.bank)
-        if not issued_banks and self.request_register.occupancy() > 0:
+            locked.add(entry.bank)
+        if not issued_banks:
             self._stalled_periods += 1
         self.ongoing.advance(issued_banks)

@@ -41,19 +41,23 @@ policies the engine substitutes *algebraically identical* incremental forms:
   knows every backlog transition); the RNG draw sequence is unchanged, so the
   request stream is bit-identical.
 
-For CFDS, the issue-period machinery — the DRAM scheduler subsystem (request
-register, banked-DRAM timing), the renaming table and the bank mapping — is
-borrowed from the buffer object itself, so scheduling decisions cannot
-diverge either.  The resulting :class:`~repro.sim.engine.SimulationReport`
-(throughput, latency histogram, buffer statistics) is asserted bit-identical
-to the reference loop for every registered scenario by
-``tests/sim/test_array_engine.py``.
+For CFDS, block placement is the core's own plain data: the Section-6
+renaming registers, the per-group free-name stacks and occupancies, and each
+queue's block locations and ordinals replace ``RenamingTable``, the bank
+mapping's group lookup and the buffer's placement dicts, following their
+rules step for step (lowest free name, least occupied group, drop on a
+failed allocation).  The DRAM scheduler subsystem (request register, ongoing
+register, banked-DRAM timing) is still borrowed from the buffer object, so
+issue decisions and their statistics cannot diverge.  The resulting
+:class:`~repro.sim.engine.SimulationReport` (throughput, latency histogram,
+buffer statistics) is asserted bit-identical to the reference loop for every
+registered scenario by ``tests/sim/test_array_engine.py``.
 
 The engine consumes a *freshly built* buffer: it reads the configuration and
-the issue-period machinery off the buffer object but keeps all per-cell state
-in its own arrays, so the buffer instance itself is not stepped.  Running an
-already-run (or hand-stepped) simulation on the array engine raises
-:class:`~repro.errors.StaleSimulationError`.
+the DRAM scheduler subsystem off the buffer object but keeps all per-cell and
+placement state in its own arrays, so the buffer instance itself is not
+stepped.  Running an already-run (or hand-stepped) simulation on the array
+engine raises :class:`~repro.errors.StaleSimulationError`.
 
 **Chunked execution.**  The engine state lives in a core object
 (:func:`build_array_core`) whose :meth:`run_span` method simulates any
@@ -216,6 +220,27 @@ def _ecqf_select(counters: List[int], negatives: int, req_count: List[int],
     if best_queue < 0 or best_deficit <= 0:
         return None
     return best_queue
+
+
+def _allocate_name(free_names: List[List[int]], group_occ: List[int],
+                   group_cap: Optional[int], cells: int) -> int:
+    """Pop a free physical name from the lowest ``(occupancy, group)`` among
+    groups with a free name and, when groups are capped, room for ``cells``
+    (``RenamingTable._allocate_physical``); ``-1`` when none qualifies."""
+    best_group = -1
+    best_occ = 0
+    for group, names in enumerate(free_names):
+        if not names:
+            continue
+        occ = group_occ[group]
+        if group_cap is not None and group_cap - occ < cells:
+            continue
+        if best_group < 0 or occ < best_occ:
+            best_group = group
+            best_occ = occ
+    if best_group < 0:
+        return -1
+    return free_names[best_group].pop()
 
 
 # --------------------------------------------------------------------- #
@@ -748,11 +773,19 @@ class _RADSCore(_ArrayCoreBase):
 class _CFDSCore(_ArrayCoreBase):
     """Struct-of-arrays machine for :class:`~repro.core.buffer.CFDSPacketBuffer`.
 
-    The issue-period machinery is borrowed from the buffer itself: the DSS
-    (request register + banked-DRAM timing), the renaming table and the bank
-    mapping make the exact decisions the object model makes.  Those objects
-    travel with the buffer through a checkpoint pickle, so a resumed core
-    sees the same shared state.
+    Block placement is the core's own plain data, sized from the buffer's
+    bank mapping: the Section-6 renaming registers (per logical queue, a
+    deque of ``[physical, cells]`` entries), the per-group stacks of free
+    physical names and their in-use flags, the per-group cell occupancy
+    (renaming or static groups), each logical queue's FIFO of
+    ``(physical, ordinal)`` block locations and each physical queue's next
+    block ordinal.  The rules are :class:`~repro.core.renaming.RenamingTable`'s
+    and ``CFDSPacketBuffer._place_block``'s, step for step.
+
+    The DRAM scheduler subsystem (request register, ongoing register and
+    banked-DRAM timing) is borrowed from the buffer and makes the exact
+    issue decisions the object model makes; it travels with the buffer
+    through a checkpoint pickle.
     """
 
     def __init__(self, sim, buffer) -> None:
@@ -764,6 +797,23 @@ class _CFDSCore(_ArrayCoreBase):
         self.dram_access_slots = config.dram_access_slots
         self.latency_reg: List[Optional[int]] = [None] * self.lat_len
         self.lat_pos = 0
+
+        mapping = buffer.mapping
+        num_groups = mapping.num_groups
+        num_physical = mapping.num_queues
+        self.num_groups = num_groups
+        self.group_cap = buffer.group_capacity_cells
+        self.use_renaming = buffer.renaming is not None
+        self.group_occ = [0] * num_groups
+        self.block_loc = [deque() for _ in range(self.num_queues)]
+        self.block_ordinal = [0] * num_physical
+        self.rename_regs = [deque() for _ in range(self.num_queues)]
+        # Free names per group, filled in descending order so ``pop()``
+        # hands out the lowest name first; released names are appended.
+        self.free_names: List[List[int]] = [[] for _ in range(num_groups)]
+        for physical in range(num_physical - 1, -1, -1):
+            self.free_names[physical % num_groups].append(physical)
+        self.in_use = [False] * num_physical
 
     def _drain_slots(self) -> int:
         return (self.la_len + self.lat_len + self.dram_access_slots
@@ -795,12 +845,15 @@ class _CFDSCore(_ArrayCoreBase):
         fast_ecqf = self.fast_ecqf
         ecqf_fallback = self.ecqf_fallback
         scheduler = buffer.scheduler
-        renaming = buffer.renaming
-        mapping = buffer.mapping
-        group_cap = buffer.group_capacity_cells
-        group_occ = buffer._group_occupancy
-        block_locations = buffer._block_locations
-        write_count = buffer._physical_write_count
+        use_renaming = self.use_renaming
+        num_groups = self.num_groups
+        group_cap = self.group_cap
+        group_occ = self.group_occ
+        block_loc = self.block_loc
+        block_ordinal = self.block_ordinal
+        rename_regs = self.rename_regs
+        free_names = self.free_names
+        in_use = self.in_use
         read_dir = TransferDirection.READ
         write_dir = TransferDirection.WRITE
 
@@ -942,28 +995,42 @@ class _CFDSCore(_ArrayCoreBase):
                     tail_occ[selection] -= evicted
                     tail_total -= evicted
                     if block:
-                        # Place the block: renaming translation, or the
-                        # static per-group accounting when renaming is
-                        # disabled.
-                        if renaming is not None:
-                            try:
-                                physical = renaming.translate_write(selection,
-                                                                    evicted)
-                            except RenamingError:
-                                physical = None
+                        # Place the block: renaming translation (stay on
+                        # the tail entry's name while its group has room,
+                        # else open a name in the least occupied group), or
+                        # the static per-group accounting.
+                        if use_renaming:
+                            entries = rename_regs[selection]
+                            physical = -1
+                            if entries:
+                                entry = entries[-1]
+                                if (group_cap is None
+                                        or group_occ[entry[0] % num_groups]
+                                        + evicted <= group_cap):
+                                    physical = entry[0]
+                            if physical < 0:
+                                physical = _allocate_name(
+                                    free_names, group_occ, group_cap, evicted)
+                                if physical >= 0:
+                                    in_use[physical] = True
+                                    entry = [physical, 0]
+                                    entries.append(entry)
+                            if physical >= 0:
+                                entry[1] += evicted
+                                group_occ[physical % num_groups] += evicted
                         else:
                             physical = selection
-                            group = mapping.group_of(physical)
+                            group = physical % num_groups
                             if (group_cap is not None
                                     and group_occ[group] + evicted > group_cap):
-                                physical = None
+                                physical = -1
                             else:
                                 group_occ[group] += evicted
-                        if physical is None:
+                        if physical < 0:
                             dropped += evicted
                         else:
-                            index = write_count.get(physical, 0)
-                            write_count[physical] = index + 1
+                            index = block_ordinal[physical]
+                            block_ordinal[physical] = index + 1
                             fifo = dram_fifo[selection]
                             for seq in block:
                                 if dram_cap is not None and dram_total >= dram_cap:
@@ -972,7 +1039,7 @@ class _CFDSCore(_ArrayCoreBase):
                                 fifo.push(seq)
                                 dram_total += 1
                             dram_occ[selection] += evicted
-                            block_locations[selection].append((physical, index))
+                            block_loc[selection].append((physical, index))
                             scheduler.submit(ReplenishRequest(
                                 queue=physical, direction=write_dir,
                                 cells=evicted, issue_slot=slot,
@@ -1047,11 +1114,37 @@ class _CFDSCore(_ArrayCoreBase):
                         got = len(seqs)
                         dram_occ[selection] -= got
                         dram_total -= got
-                        physical, block_index = block_locations[selection].popleft()
-                        if renaming is not None:
-                            renaming.translate_read(selection, got)
+                        physical, block_index = block_loc[selection].popleft()
+                        if use_renaming:
+                            # Debit the head entries in FIFO order; drained
+                            # names go back on their group's free stack.
+                            entries = rename_regs[selection]
+                            if not entries:
+                                raise RenamingError(
+                                    f"logical queue {selection} has no cells "
+                                    "recorded in DRAM")
+                            remaining = got
+                            while remaining > 0:
+                                if not entries:
+                                    raise RenamingError(
+                                        f"logical queue {selection}: read of "
+                                        f"{got} cells exceeds the cells "
+                                        "recorded in the renaming register")
+                                entry = entries[0]
+                                name, held = entry
+                                take = held if held < remaining else remaining
+                                group_occ[name % num_groups] -= take
+                                remaining -= take
+                                if held == take:
+                                    entries.popleft()
+                                    if in_use[name]:
+                                        in_use[name] = False
+                                        free_names[name % num_groups].append(
+                                            name)
+                                else:
+                                    entry[1] = held - take
                         else:
-                            group_occ[mapping.group_of(physical)] -= got
+                            group_occ[physical % num_groups] -= got
                         fetch_request = ReplenishRequest(
                             queue=physical, direction=read_dir, cells=got,
                             issue_slot=slot, block_index=block_index)

@@ -71,9 +71,12 @@ from repro.sim.stats import LatencyStats, ThroughputStats
 #: enough that a chunk's arrival plan is a few hundred kilobytes.
 DEFAULT_CHUNK_SLOTS = 65536
 
-#: Checkpoint envelope identification.
+#: Checkpoint envelope identification.  The version moves whenever the
+#: pickled state changes shape, so an older snapshot is refused with a
+#: CheckpointError instead of resuming into missing attributes (version 2:
+#: CFDS array cores own their renaming and block-placement state).
 CHECKPOINT_FORMAT = "repro-stream-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class StreamingSimulation:

@@ -5,10 +5,15 @@ import pytest
 
 from repro.core.buffer import CFDSPacketBuffer
 from repro.core.config import CFDSConfig
-from repro.errors import ConfigurationError, StaleSimulationError
+from repro.errors import (
+    BufferOverflowError,
+    ConfigurationError,
+    StaleSimulationError,
+)
 from repro.mma.mdqf import MDQF
 from repro.rads.buffer import RADSPacketBuffer
 from repro.rads.config import RADSConfig
+from repro.sim.array_engine import build_array_core
 from repro.sim.engine import ClosedLoopSimulation
 from repro.traffic.arbiters import OldestCellArbiter, RandomArbiter, TraceArbiter
 from repro.traffic.arrivals import BernoulliArrivals, BurstyArrivals, TraceArrivals
@@ -20,6 +25,14 @@ def assert_reports_identical(left, right):
     assert left.throughput == right.throughput
     assert left.latency == right.latency
     assert left.buffer_result == right.buffer_result
+
+
+def assert_dss_fields_measured(report):
+    """The DSS-derived fields of a CFDS report saw real traffic, so their
+    equality across engines is not vacuous."""
+    result = report.buffer_result
+    assert result.max_request_register_occupancy > 0
+    assert result.max_reorder_delay_slots > 0
 
 
 def run_both(make_sim, num_slots, drain=True):
@@ -166,8 +179,9 @@ def test_cfds_static_groups_without_renaming():
 
 
 def test_cfds_renaming_with_group_capacity():
-    """Renaming enabled with finite groups: the borrowed renaming table makes
-    identical placement decisions."""
+    """Renaming enabled with finite groups: the core's own renaming
+    registers and free-name stacks make the renaming table's placement
+    decisions."""
     def make_sim():
         config = CFDSConfig(num_queues=8, dram_access_slots=8, granularity=2,
                             num_banks=32, strict=False)
@@ -179,6 +193,113 @@ def test_cfds_renaming_with_group_capacity():
 
     reference, array = run_both(make_sim, 1500)
     assert_reports_identical(reference, array)
+    assert_dss_fields_measured(reference)
+
+
+def test_cfds_renaming_runs_out_of_names():
+    """One physical name per group (``oversubscription=1``) and three-block
+    groups: writes find no free name or no room and drop, and names are
+    released and reused as queues drain."""
+    def make_sim():
+        config = CFDSConfig(num_queues=8, dram_access_slots=8, granularity=2,
+                            num_banks=32, strict=False)
+        buffer = CFDSPacketBuffer(config, use_renaming=True,
+                                  oversubscription=1, group_capacity_cells=6)
+        return ClosedLoopSimulation(
+            buffer, BurstyArrivals(8, mean_burst_cells=20, load=0.95, seed=13),
+            RandomArbiter(8, load=0.5, seed=14))
+
+    reference, array = run_both(make_sim, 3000)
+    assert_reports_identical(reference, array)
+    assert reference.throughput.drops > 0
+    assert_dss_fields_measured(reference)
+
+
+@pytest.mark.parametrize("use_renaming, oversubscription, group_capacity", [
+    (True, 2, None),
+    (True, 2, 64),
+    (True, 1, 6),
+    (False, 1, 8),
+])
+def test_cfds_placement_state_matches_object_model(use_renaming,
+                                                   oversubscription,
+                                                   group_capacity):
+    """The core's placement state equals the buffer's after the same slots:
+    renaming entries, free-name stacks (order included), group occupancy,
+    block locations and per-physical ordinals.  Reports only see placement
+    through the DSS peaks, so this pins the choices themselves."""
+    def make_sim():
+        config = CFDSConfig(num_queues=8, dram_access_slots=8, granularity=2,
+                            num_banks=32, strict=False)
+        buffer = CFDSPacketBuffer(config, use_renaming=use_renaming,
+                                  oversubscription=oversubscription,
+                                  group_capacity_cells=group_capacity)
+        return ClosedLoopSimulation(
+            buffer, BurstyArrivals(8, mean_burst_cells=20, load=0.95, seed=13),
+            RandomArbiter(8, load=0.5, seed=14))
+
+    reference = make_sim()
+    reference.run(2000, drain=False, engine="reference")
+    buffer = reference.buffer
+    array = make_sim()
+    core = build_array_core(array)
+    core.run_span(array.arrivals.arrivals(2000), 2000)
+
+    assert [list(locations) for locations in core.block_loc] == [
+        list(buffer._block_locations[q]) for q in range(8)]
+    assert core.block_ordinal == [
+        buffer._physical_write_count.get(p, 0)
+        for p in range(buffer.mapping.num_queues)]
+    assert core.group_occ == buffer.dram_group_occupancy()
+    if use_renaming:
+        table = buffer.renaming
+        assert [[list(entry) for entry in entries]
+                for entries in core.rename_regs] == [
+            [[e.physical_queue, e.count] for e in table.register(q).entries()]
+            for q in range(8)]
+        assert core.free_names == [table._free_by_group[g]
+                                   for g in range(table.num_groups)]
+        assert sum(core.in_use) == table.physical_in_use()
+
+
+def test_cfds_request_register_overflow_message_matches():
+    """A strict one-entry Requests Register overflows under load; both
+    engines raise the same error at the same point."""
+    def run(engine):
+        config = CFDSConfig(num_queues=8, dram_access_slots=8, granularity=2,
+                            num_banks=32, rr_capacity=1)
+        sim = ClosedLoopSimulation(
+            CFDSPacketBuffer(config), BernoulliArrivals(8, load=0.95, seed=5),
+            RandomArbiter(8, load=0.9, seed=6))
+        with pytest.raises(BufferOverflowError) as caught:
+            sim.run(3000, engine=engine)
+        return str(caught.value)
+
+    message = run("reference")
+    assert message.startswith("Requests Register")
+    assert run("array") == message
+
+
+@pytest.mark.parametrize("dram_access_slots, granularity, random_access", [
+    (8, 2, 2),       # bank busy for one issue period: ORR length 0
+    (4, 4, None),    # b == B: one bank per group, no reordering room
+])
+def test_cfds_degenerate_dss_geometries(dram_access_slots, granularity,
+                                        random_access):
+    def make_sim():
+        config = CFDSConfig(num_queues=8, dram_access_slots=dram_access_slots,
+                            granularity=granularity, num_banks=32,
+                            dram_random_access_slots=random_access,
+                            strict=granularity != dram_access_slots)
+        assert config.orr_size == 0
+        return ClosedLoopSimulation(
+            CFDSPacketBuffer(config),
+            BurstyArrivals(8, mean_burst_cells=10, load=0.9, seed=7),
+            RandomArbiter(8, load=0.8, seed=8))
+
+    reference, array = run_both(make_sim, 2000)
+    assert_reports_identical(reference, array)
+    assert_dss_fields_measured(reference)
 
 
 # --------------------------------------------------------------------- #

@@ -67,7 +67,12 @@ def test_streamed_equals_monolithic(scenario_name, engine):
     scenario = get_scenario(scenario_name)
     monolithic = scenario.build_simulation().run(scenario.num_slots,
                                                  engine=engine)
-    for chunk in (137, 1000, scenario.num_slots, 10 * scenario.num_slots):
+    chunks = [137, 1000, scenario.num_slots, 10 * scenario.num_slots]
+    if scenario_name == "markov-onoff":
+        # Single- and three-slot windows put a span boundary inside every
+        # CFDS issue period (b = 2).
+        chunks += [1, 3]
+    for chunk in chunks:
         streamed = scenario.build_simulation().run_stream(
             scenario.num_slots, engine=engine, chunk_slots=chunk)
         assert_reports_identical(streamed, monolithic,
@@ -267,6 +272,48 @@ def test_checkpoint_version_and_digest_guards(tmp_path):
     path.write_text(json.dumps(missing_field), encoding="utf-8")
     with pytest.raises(CheckpointError, match="missing field"):
         resume_stream(path)
+
+
+def _stale_cfds_checkpoint(path, chunk_slots=500):
+    """A valid markov-onoff array snapshot whose envelope claims version 1
+    (whose CFDS cores borrowed the buffer's renaming table)."""
+    scenario = get_scenario("markov-onoff")
+    session = StreamingSimulation(scenario.build_simulation(),
+                                  scenario.num_slots, engine="array",
+                                  chunk_slots=chunk_slots)
+    drive_to(session, 2 * chunk_slots)
+    session.save_checkpoint(path)
+    document = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(dict(document, version=1)), encoding="utf-8")
+    return scenario
+
+
+def test_version_one_cfds_checkpoint_is_refused(tmp_path):
+    path = tmp_path / "old.ckpt.json"
+    _stale_cfds_checkpoint(path)
+    with pytest.raises(CheckpointError, match="format version 1"):
+        resume_stream(path)
+
+
+def test_run_scenario_spec_recomputes_over_version_one_checkpoint(tmp_path):
+    from repro.workloads.scenario import run_scenario_spec
+
+    scenario = get_scenario("markov-onoff")
+    signature = json.dumps(
+        {"spec": scenario.to_spec(), "engine": "array",
+         "chunk_slots": 500, "warmup_slots": 0},
+        sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(signature.encode("utf-8")).hexdigest()[:16]
+    path = tmp_path / f"{scenario.name}-{digest}.ckpt.json"
+    _stale_cfds_checkpoint(path)
+
+    plain = run_scenario_spec(scenario.to_spec(), engine="array")
+    recovered = run_scenario_spec(scenario.to_spec(), engine="array",
+                                  stream=True, chunk_slots=500,
+                                  checkpoint_every=800,
+                                  checkpoint_dir=str(tmp_path))
+    assert recovered == plain
+    assert not path.exists()
 
 
 def test_corrupt_checkpoints_always_fail_cleanly(tmp_path):
