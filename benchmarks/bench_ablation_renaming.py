@@ -30,7 +30,7 @@ def _run(use_renaming: bool):
         arrivals=HotspotArrivals(16, hot_queues=[0, 1], hot_fraction=0.9,
                                  load=0.95, seed=17),
         arbiter=RandomArbiter(16, load=0.30, seed=18),
-    ).run(SLOTS)
+    ).run(SLOTS, engine="reference")  # steps the buffer: counters stay live
     return buffer, report
 
 

@@ -21,12 +21,18 @@ Two kinds of rows:
 ``--fail-on-regression PCT`` gates on the ratio rows only — absolute
 timings move with the machine, ratios move with the code — and exits 1 when
 any gated ratio regressed by more than ``PCT`` percent.
+
+A sharding ratio (``...-jobs4-over-jobs1``) only measures scaling on a
+machine with at least as many CPUs as its largest job count; when either
+snapshot recorded fewer, the row is reported as ``n/a (cpus < 4)`` and can
+neither pass nor fail the gate.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ReproError
@@ -89,6 +95,23 @@ def _pct(current: float, base: float) -> Optional[float]:
     return (current - base) / base * 100.0
 
 
+def _cpu_shortfall(name: str,
+                   *documents: Mapping[str, Any]) -> Optional[str]:
+    """Why derived ratio ``name`` cannot be judged on these snapshots, or
+    ``None`` when it can.  A sharding ratio needs as many CPUs as the
+    largest ``jobsN`` in its name; a snapshot that recorded fewer measured
+    no scaling."""
+    counts = [int(count) for count in re.findall(r"jobs(\d+)", name)]
+    if not counts:
+        return None
+    needed = max(counts)
+    for document in documents:
+        cpus = document.get("cpus")
+        if isinstance(cpus, int) and cpus < needed:
+            return f"cpus < {needed}"
+    return None
+
+
 def compare_documents(baseline: Mapping[str, Any],
                       current: Mapping[str, Any]) -> Dict[str, Any]:
     """Diff two bench documents into a JSON-serialisable compare report."""
@@ -128,7 +151,8 @@ def compare_documents(baseline: Mapping[str, Any],
             continue
         base_value = base_derived[name]
         direction = ratio_direction(name, current, baseline)
-        delta = _pct(cur_value, base_value)
+        not_applicable = _cpu_shortfall(name, baseline, current)
+        delta = None if not_applicable else _pct(cur_value, base_value)
         if delta is None:
             regression = None
         elif direction == LOWER_BETTER:
@@ -142,6 +166,7 @@ def compare_documents(baseline: Mapping[str, Any],
             "delta_pct": delta,
             "direction": direction,
             "regression_pct": regression,
+            "not_applicable": not_applicable,
         })
 
     return {
@@ -251,6 +276,11 @@ def render_compare(report: Mapping[str, Any],
         for row in report["ratios"]:
             arrow = ("lower is better" if row["direction"] == LOWER_BETTER
                      else "higher is better")
+            if row.get("not_applicable"):
+                lines.append(
+                    f"  {row['name']}: {row['base']:.3f}x -> "
+                    f"{row['cur']:.3f}x (n/a ({row['not_applicable']}))")
+                continue
             marker = ""
             if row["name"] in failing:
                 marker = "  << REGRESSION"

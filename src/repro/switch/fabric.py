@@ -4,12 +4,18 @@ A switch slot moves at most one cell out of each ingress port and at most one
 cell into each egress port.  When several ingress VOQs hold cells for the
 same egress, a *fabric arbiter* computes a conflict-free matching.  All
 policies here are single-iteration request/grant/accept schedulers over the
-same inputs:
+same input:
 
-* ``requests[i]`` — the egress ports ingress ``i`` holds cells for (its
-  non-empty VOQs), in ascending order;
+* ``requesters[e]`` — the ingress ports holding cells for egress ``e`` (their
+  VOQ for ``e`` is non-empty), as an integer bitmask: bit ``i`` set means
+  ingress ``i`` requests egress ``e``;
 * *grant* — each requested egress selects one requesting ingress;
 * *accept* — each ingress holding one or more grants selects one.
+
+Bitmasks make every selection a few integer operations: "lowest requester"
+is the lowest set bit (``mask & -mask``), and "first requester at or after
+pointer ``p``" is the lowest set bit of ``mask >> p``.  Python integers are
+unbounded, so the protocol has no port-count limit.
 
 The three stock policies differ only in the selection rule:
 
@@ -38,6 +44,16 @@ from repro.errors import ConfigurationError
 Match = Tuple[int, int]
 
 
+def _set_bits(mask: int) -> List[int]:
+    """The indices of ``mask``'s set bits, ascending."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
 class FabricArbiter(abc.ABC):
     """Interface of every crossbar matching policy."""
 
@@ -47,33 +63,26 @@ class FabricArbiter(abc.ABC):
         self.num_ports = num_ports
 
     @abc.abstractmethod
-    def match(self, slot: int,
-              requests: Sequence[Sequence[int]]) -> List[Match]:
+    def match(self, slot: int, requesters: Sequence[int]) -> List[Match]:
         """Compute this slot's matching.
 
         Args:
             slot: the current slot number.
-            requests: per-ingress ascending lists of requested egress ports
-                (the ingress's non-empty VOQs); an empty list means the
-                ingress has nothing to send.
+            requesters: per-egress bitmasks; bit ``i`` of ``requesters[e]``
+                is set when ingress ``i`` has cells queued for egress ``e``
+                (a zero mask means nobody requests ``e``).  A bit at or
+                above ``num_ports`` raises :class:`ConfigurationError`.
 
         Returns:
             ``(ingress, egress)`` pairs with every ingress and every egress
-            appearing at most once, each pair drawn from ``requests``.
+            appearing at most once, each pair backed by a set request bit.
         """
 
-    # ------------------------------------------------------------------ #
-    def _granted(self, requests: Sequence[Sequence[int]]) -> List[List[int]]:
-        """Invert per-ingress requests into per-egress requester lists."""
-        requesting: List[List[int]] = [[] for _ in range(self.num_ports)]
-        for ingress, egresses in enumerate(requests):
-            for egress in egresses:
-                if not 0 <= egress < self.num_ports:
-                    raise ConfigurationError(
-                        f"ingress {ingress} requests egress {egress}, but the "
-                        f"switch has only {self.num_ports} ports")
-                requesting[egress].append(ingress)
-        return requesting
+    def _out_of_range(self, egress: int, mask: int) -> ConfigurationError:
+        """The error for a requester bit at or above ``num_ports``."""
+        return ConfigurationError(
+            f"ingress {mask.bit_length() - 1} requests egress {egress}, but "
+            f"the switch has only {self.num_ports} ports")
 
 
 class ISLIPFabricArbiter(FabricArbiter):
@@ -92,50 +101,66 @@ class ISLIPFabricArbiter(FabricArbiter):
         self._grant = [0] * num_ports
         self._accept = [0] * num_ports
 
-    def _first_from(self, candidates: Sequence[int], pointer: int) -> int:
-        """The candidate closest at-or-after ``pointer`` (wrapping).
-
-        ``candidates`` is ascending, so the answer is its first element
-        ``>= pointer``, falling back to the overall first on wrap — no
-        modular distance needs computing.
-        """
-        for candidate in candidates:
-            if candidate >= pointer:
-                return candidate
-        return candidates[0]
-
-    def match(self, slot: int,
-              requests: Sequence[Sequence[int]]) -> List[Match]:
-        grants: Dict[int, List[int]] = {}
-        for egress, requesters in enumerate(self._granted(requests)):
-            if requesters:
-                ingress = self._first_from(requesters, self._grant[egress])
-                grants.setdefault(ingress, []).append(egress)
+    def match(self, slot: int, requesters: Sequence[int]) -> List[Match]:
+        # Both phases pick the set bit closest at-or-after a pointer: the
+        # lowest set bit of ``mask >> pointer``, or on wrap the lowest set
+        # bit of ``mask``.
+        n = self.num_ports
+        grant = self._grant
+        accept = self._accept
+        grants = [0] * n  # grants[i]: bitmask of egresses granting ingress i
+        for egress, mask in enumerate(requesters):
+            if not mask:
+                continue
+            if mask >> n:
+                raise self._out_of_range(egress, mask)
+            pointer = grant[egress]
+            high = mask >> pointer
+            if high:
+                ingress = pointer + (high & -high).bit_length() - 1
+            else:
+                ingress = (mask & -mask).bit_length() - 1
+            grants[ingress] |= 1 << egress
         matches: List[Match] = []
-        for ingress in sorted(grants):
-            egress = self._first_from(grants[ingress], self._accept[ingress])
+        for ingress, mask in enumerate(grants):
+            if not mask:
+                continue
+            pointer = accept[ingress]
+            high = mask >> pointer
+            if high:
+                egress = pointer + (high & -high).bit_length() - 1
+            else:
+                egress = (mask & -mask).bit_length() - 1
             matches.append((ingress, egress))
-            self._grant[egress] = (ingress + 1) % self.num_ports
-            self._accept[ingress] = (egress + 1) % self.num_ports
+            grant[egress] = (ingress + 1) % n
+            accept[ingress] = (egress + 1) % n
         return matches
 
 
 class RandomFabricArbiter(FabricArbiter):
     """PIM-style random matching: every grant and accept is a uniform draw
-    from a seeded RNG, so runs are reproducible per seed."""
+    from a seeded RNG, so runs are reproducible per seed.
+
+    Draws are ``rng.choice`` over the ascending list of candidates: every
+    grant by ascending egress, then every accept by ascending ingress.
+    """
 
     def __init__(self, num_ports: int, seed: int = 0) -> None:
         super().__init__(num_ports)
         self._rng = random.Random(seed)
 
-    def match(self, slot: int,
-              requests: Sequence[Sequence[int]]) -> List[Match]:
+    def match(self, slot: int, requesters: Sequence[int]) -> List[Match]:
+        n = self.num_ports
+        choice = self._rng.choice
         grants: Dict[int, List[int]] = {}
-        for egress, requesters in enumerate(self._granted(requests)):
-            if requesters:
-                ingress = self._rng.choice(requesters)
-                grants.setdefault(ingress, []).append(egress)
-        return [(ingress, self._rng.choice(grants[ingress]))
+        for egress, mask in enumerate(requesters):
+            if not mask:
+                continue
+            if mask >> n:
+                raise self._out_of_range(egress, mask)
+            ingress = choice(_set_bits(mask))
+            grants.setdefault(ingress, []).append(egress)
+        return [(ingress, choice(grants[ingress]))
                 for ingress in sorted(grants)]
 
 
@@ -148,13 +173,21 @@ class PriorityFabricArbiter(FabricArbiter):
     :class:`~repro.switch.model.SwitchReport`.
     """
 
-    def match(self, slot: int,
-              requests: Sequence[Sequence[int]]) -> List[Match]:
-        grants: Dict[int, List[int]] = {}
-        for egress, requesters in enumerate(self._granted(requests)):
-            if requesters:
-                grants.setdefault(min(requesters), []).append(egress)
-        return [(ingress, min(grants[ingress])) for ingress in sorted(grants)]
+    def match(self, slot: int, requesters: Sequence[int]) -> List[Match]:
+        n = self.num_ports
+        # Egresses are visited in ascending order, so the first grant an
+        # ingress receives is its lowest granting egress — the one it
+        # accepts.
+        accepted: Dict[int, int] = {}
+        for egress, mask in enumerate(requesters):
+            if not mask:
+                continue
+            if mask >> n:
+                raise self._out_of_range(egress, mask)
+            ingress = (mask & -mask).bit_length() - 1
+            if ingress not in accepted:
+                accepted[ingress] = egress
+        return sorted(accepted.items())
 
 
 #: Fabric arbiter factories, keyed by the type string used in switch specs.

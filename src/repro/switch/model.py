@@ -4,13 +4,13 @@ Execution is two-stage, which is what makes switch runs shardable:
 
 1. **Fabric stage** (serial, cheap): every ingress port's traffic source is
    instantiated with a deterministic per-ingress seed; cells queue in
-   per-ingress VOQs (one :class:`~repro.sim.ring.IntRing` of arrival slots
-   per (ingress, egress) pair); the fabric arbiter computes one conflict-free
-   matching per slot.  Because each egress accepts at most one cell per slot,
-   the fabric's output is exactly ``N`` single-linecard arrival traces —
-   the same admissibility model the paper's buffer assumes.  After the
-   arrival phase the fabric *flushes*: matching continues without new
-   arrivals until every VOQ is empty.
+   per-ingress VOQs (one deque of arrival slots per (ingress, egress)
+   pair); the fabric arbiter computes one conflict-free matching per slot
+   from per-egress requester bitmasks.  Because each egress accepts at
+   most one cell per slot, the fabric's output is exactly ``N``
+   single-linecard arrival traces — the same admissibility model the
+   paper's buffer assumes.  After the arrival phase the fabric *flushes*:
+   matching continues without new arrivals until every VOQ is empty.
 
 2. **Port stage** (parallel, dominant): each egress trace plus the port's
    buffer/arbiter template becomes an ordinary
@@ -31,7 +31,7 @@ the same ``SwitchReport`` for any ``--jobs`` value.
 from __future__ import annotations
 
 import time
-from bisect import insort
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -40,7 +40,6 @@ from repro.obs.metrics import get_metrics
 from repro.obs.trace import emit as trace_emit
 from repro.runner.jobs import Job
 from repro.runner.sweep import JobFailure, SweepRunner, default_jobs
-from repro.sim.ring import IntRing
 from repro.sim.stats import LatencyStats
 from repro.switch.scenario import SwitchScenario
 from repro.switch.traffic import build_ingress_traffic
@@ -85,8 +84,17 @@ class FabricStream:
     concatenated chunks are bit-identical to the monolithic stage for every
     chunk size (each ingress owns its RNG) — :func:`run_fabric` is literally
     this stream plus concatenation.  After the arrival phase the stage
-    flushes until every VOQ is empty, still in bounded windows;
-    :attr:`stats` is available once the generator is exhausted.
+    flushes until every VOQ is empty, in the same loop: a flush window is
+    sized by the remaining backlog (every flush slot moves at least one
+    cell), never longer than ``chunk_slots``, and trimmed if the VOQs drain
+    early.
+
+    Per-slot state is integer bitmasks: ``requesters[e]`` has bit ``i`` set
+    while ingress ``i``'s VOQ for egress ``e`` (a :class:`collections.deque`
+    of arrival slots) is non-empty, updated only when that VOQ changes
+    between empty and non-empty, and handed to
+    :meth:`~repro.switch.fabric.FabricArbiter.match` as is.  :attr:`stats`
+    is available once the generator is exhausted.
     """
 
     def __init__(self, scenario: SwitchScenario,
@@ -106,139 +114,130 @@ class FabricStream:
                                               seed=scenario.port_seed(i))
                         for i in range(n)]
         self.fabric = scenario.build_fabric()
-        # voq[i][e]: arrival slots of cells waiting at ingress i for egress e.
-        self._voq = [[IntRing() for _ in range(n)] for _ in range(n)]
-        # requests[i]: ascending egress ports with a non-empty VOQ at
-        # ingress i — maintained incrementally (a VOQ changes emptiness at
-        # most twice per slot) instead of being rescanned O(N^2) every slot.
-        self._requests: List[List[int]] = [[] for _ in range(n)]
-        self._ingress_backlog = [0] * n
-        self._per_egress = [0] * n
-        self._waits = LatencyStats()
-        self._offered = 0
-        self._transferred = 0
-        self._peak_backlog = 0
-        self._backlog_total = 0
         #: Filled in once :meth:`chunks` is exhausted.
         self.stats: Optional[FabricStats] = None
-
-    # ------------------------------------------------------------------ #
-    def _transfer_slot(self, slot: int,
-                       traces: List[List[Optional[int]]]) -> int:
-        n = self.num_ports
-        voq = self._voq
-        requests = self._requests
-        matches = self.fabric.match(slot, requests)
-        matched_egress = [False] * n
-        matched_ingress = [False] * n
-        for ingress, egress in matches:
-            ring = voq[ingress][egress]
-            try:
-                arrival_slot = ring.popleft()
-            except IndexError:
-                raise ConfigurationError(
-                    f"fabric arbiter matched empty VOQ ({ingress}, {egress})")
-            if matched_egress[egress]:
-                raise ConfigurationError(
-                    f"fabric arbiter matched egress {egress} twice in slot "
-                    f"{slot}")
-            if matched_ingress[ingress]:
-                raise ConfigurationError(
-                    f"fabric arbiter matched ingress {ingress} twice in slot "
-                    f"{slot}")
-            matched_egress[egress] = True
-            matched_ingress[ingress] = True
-            if not ring:
-                requests[ingress].remove(egress)
-            self._ingress_backlog[ingress] -= 1
-            self._backlog_total -= 1
-            self._waits.record_delay(slot - arrival_slot)
-            traces[egress].append(ingress)
-            self._per_egress[egress] += 1
-            self._transferred += 1
-        for egress in range(n):
-            if not matched_egress[egress]:
-                traces[egress].append(None)
-        return len(matches)
 
     def chunks(self):
         """Yield ``(start_slot, chunk_traces)`` windows; arrival phase first,
         then the flush windows, all bounded by ``chunk_slots``."""
         n = self.num_ports
         slots = self.slots
-        voq = self._voq
-        requests = self._requests
-        ingress_backlog = self._ingress_backlog
-        start = 0
-        while start < slots:
-            count = min(self.chunk_slots, slots - start)
-            plans = []
-            for source in self.sources:
-                plan = source.arrivals_slice(start, count)
-                plans.append(plan if isinstance(plan, list) else list(plan))
-            traces: List[List[Optional[int]]] = [[] for _ in range(n)]
+        chunk_slots = self.chunk_slots
+        match = self.fabric.match
+        ports = range(n)
+        # voq[i][e]: arrival slots of cells waiting at ingress i for egress e.
+        voq = [[deque() for _ in ports] for _ in ports]
+        requesters = [0] * n
+        ingress_backlog = [0] * n
+        per_egress = [0] * n
+        offered = transferred = peak_backlog = wait_total = wait_max = 0
+        slot = 0
+        while slot < slots or transferred < offered:
+            start = slot
+            arriving = slot < slots
+            if arriving:
+                count = min(chunk_slots, slots - slot)
+                plans = []
+                for source in self.sources:
+                    plan = source.arrivals_slice(slot, count)
+                    if not isinstance(plan, list):
+                        plan = list(plan)
+                    offered += count - plan.count(None)
+                    plans.append(plan)
+                rows = zip(*plans)
+            else:
+                count = min(chunk_slots, offered - transferred)
+                rows = None
+            traces: List[List[Optional[int]]] = [[None] * count
+                                                 for _ in ports]
             for offset in range(count):
-                slot = start + offset
-                for ingress in range(n):
-                    destination = plans[ingress][offset]
-                    if destination is None:
-                        continue
-                    if not 0 <= destination < n:
-                        raise ConfigurationError(
-                            f"ingress {ingress} generated destination "
-                            f"{destination}, but the switch has only {n} "
-                            f"ports")
-                    ring = voq[ingress][destination]
-                    if not ring:
-                        insort(requests[ingress], destination)
-                    ring.push(slot)
-                    ingress_backlog[ingress] += 1
-                    self._backlog_total += 1
-                    self._offered += 1
-                    if ingress_backlog[ingress] > self._peak_backlog:
-                        self._peak_backlog = ingress_backlog[ingress]
-                self._transfer_slot(slot, traces)
-            yield start, traces
-            start += count
-
-        flush_slots = 0
-        while self._backlog_total > 0:
-            traces = [[] for _ in range(n)]
-            flushed = 0
-            while self._backlog_total > 0 and flushed < self.chunk_slots:
-                if self._transfer_slot(slots + flush_slots, traces) == 0:
+                if arriving:
+                    for ingress, destination in enumerate(next(rows)):
+                        if destination is None:
+                            continue
+                        if not 0 <= destination < n:
+                            raise ConfigurationError(
+                                f"ingress {ingress} generated destination "
+                                f"{destination}, but the switch has only "
+                                f"{n} ports")
+                        queue = voq[ingress][destination]
+                        if not queue:
+                            requesters[destination] |= 1 << ingress
+                        queue.append(slot)
+                        backlog = ingress_backlog[ingress] + 1
+                        ingress_backlog[ingress] = backlog
+                        if backlog > peak_backlog:
+                            peak_backlog = backlog
+                elif transferred == offered:
+                    # The flush drained early: trim the window.
+                    for trace in traces:
+                        del trace[offset:]
+                    break
+                matches = match(slot, requesters)
+                if not matches and not arriving:
                     # Unreachable with the stock policies (all are
                     # work-conserving), but a custom arbiter must not be
                     # able to hang the stage.
                     raise ConfigurationError(
                         "fabric arbiter made no progress while VOQs were "
                         "non-empty")
-                flush_slots += 1
-                flushed += 1
-            yield slots + flush_slots - flushed, traces
+                matched_egress = matched_ingress = 0
+                for ingress, egress in matches:
+                    queue = voq[ingress][egress]
+                    try:
+                        wait = slot - queue.popleft()
+                    except IndexError:
+                        raise ConfigurationError(
+                            f"fabric arbiter matched empty VOQ ({ingress}, "
+                            f"{egress})")
+                    egress_bit = 1 << egress
+                    ingress_bit = 1 << ingress
+                    if matched_egress & egress_bit:
+                        raise ConfigurationError(
+                            f"fabric arbiter matched egress {egress} twice "
+                            f"in slot {slot}")
+                    if matched_ingress & ingress_bit:
+                        raise ConfigurationError(
+                            f"fabric arbiter matched ingress {ingress} twice "
+                            f"in slot {slot}")
+                    matched_egress |= egress_bit
+                    matched_ingress |= ingress_bit
+                    if not queue:
+                        requesters[egress] &= ~ingress_bit
+                    ingress_backlog[ingress] -= 1
+                    wait_total += wait
+                    if wait > wait_max:
+                        wait_max = wait
+                    traces[egress][offset] = ingress
+                transferred += len(matches)
+                slot += 1
+            for egress, trace in enumerate(traces):
+                per_egress[egress] += len(trace) - trace.count(None)
+            yield start, traces
 
+        flush_slots = slot - slots
         self.stats = FabricStats(
             slots=slots,
             flush_slots=flush_slots,
-            offered_cells=self._offered,
-            transferred_cells=self._transferred,
-            per_egress_cells=tuple(self._per_egress),
-            peak_voq_backlog=self._peak_backlog,
-            wait_mean=self._waits.mean,
-            wait_max=self._waits.maximum,
+            offered_cells=offered,
+            transferred_cells=transferred,
+            per_egress_cells=tuple(per_egress),
+            peak_voq_backlog=peak_backlog,
+            wait_mean=wait_total / transferred if transferred else 0.0,
+            wait_max=wait_max,
         )
         obs = get_metrics()
         if obs is not None:
             obs.inc("switch.fabric.stages")
-            obs.inc("switch.fabric.offered_cells", self._offered)
-            obs.inc("switch.fabric.transferred_cells", self._transferred)
+            obs.inc("switch.fabric.offered_cells", offered)
+            obs.inc("switch.fabric.transferred_cells", transferred)
             obs.inc("switch.fabric.flush_slots", flush_slots)
-            obs.gauge("switch.fabric.peak_voq_backlog", self._peak_backlog)
+            obs.gauge("switch.fabric.peak_voq_backlog", peak_backlog)
         trace_emit("fabric_stage", scenario=self.scenario.name,
-                   ports=self.num_ports, slots=slots,
-                   flush_slots=flush_slots, offered_cells=self._offered,
-                   transferred_cells=self._transferred,
-                   peak_voq_backlog=self._peak_backlog)
+                   ports=n, slots=slots,
+                   flush_slots=flush_slots, offered_cells=offered,
+                   transferred_cells=transferred,
+                   peak_voq_backlog=peak_backlog)
 
 
 def run_fabric(scenario: SwitchScenario,

@@ -180,6 +180,57 @@ class TestGate:
         assert "(not gated)" in text
 
 
+class TestShardingRatioCpus:
+    """``...-jobs4-over-jobs1`` measures scaling only where both snapshots
+    had at least 4 CPUs; otherwise it is reported as not applicable."""
+
+    NAME = "switch-scaling-jobs4-over-jobs1"
+
+    def report(self, base_cpus, cur_cpus, base=2.0, cur=1.0):
+        baseline = make_document({}, {self.NAME: base},
+                                 directions={self.NAME: HIGHER_BETTER})
+        current = make_document({}, {self.NAME: cur},
+                                directions={self.NAME: HIGHER_BETTER})
+        baseline["cpus"] = base_cpus
+        current["cpus"] = cur_cpus
+        return compare_documents(baseline, current)
+
+    @pytest.mark.parametrize("base_cpus, cur_cpus", [(1, 8), (8, 2), (1, 1)])
+    def test_too_few_cpus_is_not_applicable(self, base_cpus, cur_cpus):
+        report = self.report(base_cpus, cur_cpus)
+        row = report["ratios"][0]
+        assert row["not_applicable"] == "cpus < 4"
+        assert row["regression_pct"] is None
+        # Halving the ratio would fail a 10% gate; n/a neither fails nor
+        # passes it.
+        assert ratio_regressions(report, threshold_pct=10,
+                                 ratio_names=[self.NAME]) == []
+        text = render_compare(report, threshold_pct=10, failures=[])
+        assert f"{self.NAME}: 2.000x -> 1.000x (n/a (cpus < 4))" in text
+
+    def test_enough_cpus_is_gated(self):
+        report = self.report(4, 8)
+        row = report["ratios"][0]
+        assert row["not_applicable"] is None
+        assert row["regression_pct"] == pytest.approx(50.0)
+        failures = ratio_regressions(report, threshold_pct=10,
+                                     ratio_names=[self.NAME])
+        assert [f["name"] for f in failures] == [self.NAME]
+        text = render_compare(report, threshold_pct=10, failures=failures)
+        assert "n/a" not in text
+        assert "<< REGRESSION" in text
+
+    def test_ratios_without_a_job_count_ignore_cpus(self):
+        baseline = make_document({}, {"speedup": 5.0},
+                                 directions={"speedup": HIGHER_BETTER})
+        current = make_document({}, {"speedup": 4.0},
+                                directions={"speedup": HIGHER_BETTER})
+        baseline["cpus"] = current["cpus"] = 1
+        row = compare_documents(baseline, current)["ratios"][0]
+        assert row["not_applicable"] is None
+        assert row["regression_pct"] == pytest.approx(20.0)
+
+
 class TestOldSnapshots:
     """Pin against the committed snapshots: BENCH_3.json predates both the
     ``cpus`` field and the ``derived_directions`` table, and comparing it

@@ -1,8 +1,11 @@
 """Acceptance tests of the two-stage switch model: determinism across
 worker counts, exact conservation through the fabric, and the merged report."""
 
+import dataclasses
+
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.runner.cache import ResultCache
 from repro.runner.sweep import SweepRunner
 from repro.sim.stats import LatencyStats
@@ -14,12 +17,20 @@ from repro.switch import (
     run_switch_spec,
     switch_scenario_names,
 )
+from repro.switch.fabric import FABRIC_TYPES, FabricArbiter
 from repro.switch.model import port_scenarios
 from repro.workloads.scenario import Scenario, ScenarioResult
 
 
 def _small(name: str, **overrides) -> SwitchScenario:
     return get_switch_scenario(name).with_overrides(num_slots=400, **overrides)
+
+
+def _with_fabric(monkeypatch, arbiter_class) -> SwitchScenario:
+    """The small uniform switch, driven by a custom fabric arbiter."""
+    monkeypatch.setitem(FABRIC_TYPES, "custom", arbiter_class)
+    return dataclasses.replace(_small("uniform"),
+                               fabric={"type": "custom", "params": {}})
 
 
 class TestFabricStage:
@@ -51,8 +62,6 @@ class TestFabricStage:
         assert stats.peak_voq_backlog <= 1
 
     def test_seed_changes_the_traffic(self):
-        import dataclasses
-
         scenario = _small("uniform")
         reseeded = dataclasses.replace(scenario, seed=scenario.seed + 1)
         assert run_fabric(scenario)[0] != run_fabric(reseeded)[0]
@@ -65,24 +74,49 @@ class TestFabricStage:
                                                   bad_match):
         """The crossbar invariant (≤1 per ingress AND ≤1 per egress) is
         enforced on whatever a custom FABRIC_TYPES entry returns."""
-        from repro.errors import ConfigurationError
-        from repro.switch.fabric import FABRIC_TYPES, FabricArbiter
 
         class BrokenArbiter(FabricArbiter):
-            def match(self, slot, requests):
-                if all(len(requests[i]) >= 1 for i, _ in bad_match):
-                    wanted = [(i, e) for i, e in bad_match
-                              if e in requests[i]]
-                    if len(wanted) == len(bad_match):
-                        return bad_match
+            def match(self, slot, requesters):
+                if all(requesters[e] >> i & 1 for i, e in bad_match):
+                    return bad_match
                 return []
 
-        monkeypatch.setitem(FABRIC_TYPES, "broken", BrokenArbiter)
-        import dataclasses
-
-        scenario = dataclasses.replace(
-            _small("uniform"), fabric={"type": "broken", "params": {}})
+        scenario = _with_fabric(monkeypatch, BrokenArbiter)
         with pytest.raises(ConfigurationError, match="twice in slot"):
+            run_fabric(scenario)
+
+    def test_arbiter_matching_an_empty_voq_is_caught(self, monkeypatch):
+        class EmptyVOQArbiter(FabricArbiter):
+            def match(self, slot, requesters):
+                return [(0, 0)] if not requesters[0] & 1 else []
+
+        scenario = _with_fabric(monkeypatch, EmptyVOQArbiter)
+        with pytest.raises(ConfigurationError,
+                           match=r"matched empty VOQ \(0, 0\)"):
+            run_fabric(scenario)
+
+    def test_arbiter_stalling_the_flush_is_caught(self, monkeypatch):
+        """An arbiter that never matches lets cells pile up through the
+        arrival phase; the flush must then fail instead of spinning."""
+
+        class IdleArbiter(FabricArbiter):
+            def match(self, slot, requesters):
+                return []
+
+        scenario = _with_fabric(monkeypatch, IdleArbiter)
+        with pytest.raises(ConfigurationError, match="made no progress"):
+            run_fabric(scenario)
+
+    def test_out_of_range_destination_is_caught(self):
+        """A traffic source pinned to more destinations than the switch has
+        ports must be rejected, not silently folded."""
+        scenario = dataclasses.replace(
+            _small("uniform", num_ports=4),
+            traffic={"type": "round_robin",
+                     "params": {"num_queues": 6, "load": 1.0}})
+        with pytest.raises(ConfigurationError,
+                           match="generated destination [45], but the "
+                                 "switch has only 4 ports"):
             run_fabric(scenario)
 
 
@@ -103,8 +137,6 @@ class TestPortScenarios:
         scenario = _small("uniform")
         template = dict(scenario.ports[0])
         template["buffer"] = {"granularity": 4, "num_queues": 4}
-        import dataclasses
-
         narrow = dataclasses.replace(scenario, ports=(template,))
         traces, _stats = run_fabric(narrow)
         ports = port_scenarios(narrow, traces)

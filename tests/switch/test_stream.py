@@ -7,6 +7,8 @@ jobs path for every chunk size — both modes build their ports from the same
 :func:`~repro.switch.model.port_template`.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.switch.model import FabricStream, SwitchModel, run_fabric
@@ -81,3 +83,31 @@ def test_fabric_stream_stats_only_after_exhaustion():
     for _ in iterator:
         pass
     assert stream.stats is not None
+
+
+@pytest.mark.parametrize("chunk_slots", [1, 5])
+def test_fabric_stream_windows_tile_the_stage(chunk_slots):
+    """Windows are contiguous, never longer than ``chunk_slots`` (also in
+    the flush, which a full-load switch makes longer than one window), and
+    concatenate to :func:`run_fabric`'s traces and stats."""
+    scenario = dataclasses.replace(
+        small("uniform", slots=300),
+        traffic={"type": "bernoulli", "params": {"load": 1.0}})
+    whole_traces, whole_stats = run_fabric(scenario)
+    assert whole_stats.flush_slots > 5
+
+    stream = FabricStream(scenario, chunk_slots=chunk_slots)
+    rebuilt = [[] for _ in range(scenario.num_ports)]
+    next_start = 0
+    for start, chunk_traces in stream.chunks():
+        assert start == next_start
+        lengths = {len(chunk) for chunk in chunk_traces}
+        assert len(lengths) == 1
+        length = lengths.pop()
+        assert 1 <= length <= chunk_slots
+        next_start = start + length
+        for egress, chunk in enumerate(chunk_traces):
+            rebuilt[egress].extend(chunk)
+    assert next_start == whole_stats.total_slots
+    assert rebuilt == whole_traces
+    assert stream.stats == whole_stats
