@@ -1,9 +1,11 @@
 """Perf-trajectory benchmark harness.
 
-``python -m repro bench`` runs a fixed suite of closed-loop and subsystem
-benchmarks and writes per-benchmark median timings to a JSON snapshot
-(``BENCH_<n>.json``), giving every future PR a comparable baseline.  See
-:mod:`repro.bench.suite`.
+``python -m repro bench`` times the fixed suite — only the cases behind
+the derived ratios the CI perf gate checks — and writes per-benchmark
+median timings to a JSON snapshot (``bench-current.json`` unless ``-o``
+names a committed ``BENCH_<n>.json`` baseline); see
+:mod:`repro.bench.suite`.  :mod:`repro.bench.compare` diffs two snapshots
+and turns the diff into the direction-aware ``--fail-on-regression`` gate.
 """
 
 from repro.bench.suite import (
@@ -11,7 +13,6 @@ from repro.bench.suite import (
     DERIVED_RATIOS,
     SUITE,
     BenchCase,
-    BenchResult,
     render_results,
     run_suite,
     switch_bench_scenario,
@@ -24,7 +25,6 @@ __all__ = [
     "DERIVED_RATIOS",
     "SUITE",
     "BenchCase",
-    "BenchResult",
     "render_results",
     "run_suite",
     "switch_bench_scenario",

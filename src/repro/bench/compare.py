@@ -7,9 +7,8 @@ two existing snapshots without running anything (the CI perf-gate path).
 Two kinds of rows:
 
 * **per-benchmark deltas** — median seconds and kslots/s, side by side.
-  Median deltas are only meaningful when both snapshots ran the same slot
-  counts (full vs full, quick vs quick); throughput (kslots/s) stays
-  comparable across modes, so it is always shown.
+  Median deltas are only shown when both snapshots ran the same slot
+  counts; throughput (kslots/s) stays comparable either way.
 * **derived-ratio deltas** — the machine-independent trajectory numbers
   (array-vs-batched speedup, switch sharding scaling, checkpoint overhead).
   Each ratio has a *direction*: for a speedup, a regression is the ratio
@@ -22,9 +21,9 @@ Two kinds of rows:
 timings move with the machine, ratios move with the code — and exits 1 when
 any gated ratio regressed by more than ``PCT`` percent.
 
-A sharding ratio (``...-jobs4-over-jobs1``) only measures scaling on a
+A sharding ratio (``...-jobs2-over-jobs1``) only measures scaling on a
 machine with at least as many CPUs as its largest job count; when either
-snapshot recorded fewer, the row is reported as ``n/a (cpus < 4)`` and can
+snapshot recorded fewer, the row is reported as ``n/a (cpus < 2)`` and can
 neither pass nor fail the gate.
 """
 
@@ -182,7 +181,6 @@ def compare_documents(baseline: Mapping[str, Any],
 def _document_header(document: Mapping[str, Any]) -> Dict[str, Any]:
     return {
         "path": document.get("_path"),
-        "quick": document.get("quick"),
         "repeats": document.get("repeats"),
         # Snapshots written before the affinity-aware cpu count existed
         # (BENCH_3.json and earlier) have no "cpus" key; report the gap
@@ -247,11 +245,10 @@ def render_compare(report: Mapping[str, Any],
             fmt_pct(row["kslots_delta_pct"]),
         ])
     def describe(header: Mapping[str, Any]) -> str:
-        mode = "quick" if header.get("quick") else "full"
         cpus = header.get("cpus")
         if cpus in (None, "unknown"):
-            return f"{mode}, cpus unknown"
-        return f"{mode}, {cpus} cpu{'s' if cpus != 1 else ''}"
+            return "cpus unknown"
+        return f"{cpus} cpu{'s' if cpus != 1 else ''}"
 
     table = format_table(
         ["benchmark", "base ms", "cur ms", "Δms", "base ks/s", "cur ks/s",

@@ -1,24 +1,30 @@
 """The perf-trajectory benchmark suite (``python -m repro bench``).
 
-Every PR that touches a hot path needs a comparable baseline; this module
-provides it.  The suite is a *fixed* set of benchmarks — the closed-loop
-scenario on each engine, the wide-queue stressor that magnifies per-slot
-overhead, a CFDS scenario exercising the DRAM scheduler subsystem, the
-head-MMA ablation, the multi-port switch pipeline (the serial fabric
-stage alone, then the full run with ports serial vs sharded over 4
-workers), and the long-horizon streaming path (chunked runs, with and
-without checkpointing) — each timed for a handful of repetitions, with the **median**
-wall-clock time recorded per benchmark.  Results are written as JSON
-(``BENCH_9.json`` by default; the number tracks the PR that produced the
-file), so successive snapshots can be diffed mechanically::
+The suite holds exactly the benchmarks behind the derived ratios the CI
+perf gate checks — every case is the numerator or denominator of some
+:data:`DERIVED_RATIOS` entry:
 
-    python -m repro bench                 # full suite -> BENCH_9.json
-    python -m repro bench --quick         # reduced slot counts (CI perf-smoke)
-    python -m repro bench --filter wide   # only the wide-queue benchmarks
+* the 128-queue stressor on the batched, array and numpy engines (the
+  array-over-batched and numpy-over-array speedups);
+* the 8-port CFDS switch with its ports run serially and sharded over 2
+  workers (the sharding speedup, which needs a 2-CPU machine to mean
+  anything);
+* a long-horizon streamed run with and without resumable checkpoints (the
+  checkpoint overhead).
 
-The suite intentionally times whole runs (build + simulate + drain) — that
-is what users pay for — and records the slot throughput alongside the raw
-seconds so machines of different speeds can still be compared by ratio.
+Each case is timed for a handful of interleaved repetitions and its
+**median** wall-clock time is recorded.  Results are written as JSON
+(``bench-current.json`` by default), so snapshots can be diffed
+mechanically; a baseline is committed with an explicit ``-o BENCH_<n>.json``
+(the number tracks the change that produced it)::
+
+    python -m repro bench                     # suite -> bench-current.json
+    python -m repro bench --filter wide       # only the wide-queue cases
+    python -m repro bench -o BENCH_16.json    # write a committed baseline
+
+The suite times whole runs (build + simulate + drain) — that is what users
+pay for — and records the slot throughput alongside the raw seconds so
+machines of different speeds can still be compared by ratio.
 """
 
 from __future__ import annotations
@@ -28,40 +34,27 @@ import platform
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.runner.sweep import available_cpus
 from repro.errors import ValidationError
 
-#: Default output file.  The suffix tracks the PR that produced the
-#: snapshot so the repository can accumulate a BENCH_<n>.json trajectory.
-DEFAULT_OUTPUT = "BENCH_9.json"
+#: Default output file: the scratch name CI uses too.  Committed
+#: ``BENCH_<n>.json`` baselines are only ever written by an explicit ``-o``,
+#: so a local run cannot overwrite the perf gate's baseline.
+DEFAULT_OUTPUT = "bench-current.json"
 
 #: JSON schema version of the output document.
 SCHEMA = 1
 
-#: Slot counts used when ``--quick`` trims the suite for CI smoke runs.
-QUICK_SCENARIO_SLOTS = 800
-QUICK_WIDE_SLOTS = 1500
-QUICK_MMA_SLOTS = 3000
-QUICK_SWITCH_SLOTS = 1500
-
 WIDE_QUEUES = 128
 WIDE_SLOTS = 6000
-MMA_QUEUES = 16
-MMA_GRANULARITY = 4
-MMA_SLOTS = 12_000
 SWITCH_PORTS = 8
 SWITCH_SLOTS = 6000
-#: Slot count of the fabric-stage-only benchmark (the serial stage is the
-#: switch pipeline's Amdahl ceiling, so its trajectory is tracked alone).
-FABRIC_SLOTS = 20_000
-QUICK_FABRIC_SLOTS = 5000
-#: The long-horizon streaming benchmark: a slot count well past what the
-#: quick scenarios cover, run in bounded chunks (kslots/s is the headline).
+#: The long-horizon streaming benchmark: a slot count well past the other
+#: cases, run in bounded chunks (kslots/s is the headline).
 STREAM_SLOTS = 250_000
-QUICK_STREAM_SLOTS = 20_000
 STREAM_CHUNK_SLOTS = 32_768
 STREAM_QUEUES = 8
 
@@ -75,37 +68,12 @@ class BenchCase:
 
     name: str
     description: str
-    factory: Callable[[bool], BenchSetup]
-
-
-@dataclass
-class BenchResult:
-    """Timings of one benchmark: the median is the headline number."""
-
-    name: str
-    description: str
-    median_s: float
-    samples_s: List[float]
-    metrics: Dict[str, Any] = field(default_factory=dict)
-    profile: Optional[List[Dict[str, Any]]] = None
-
-    def as_json(self) -> Dict[str, Any]:
-        out = {
-            "name": self.name,
-            "description": self.description,
-            "median_s": self.median_s,
-            "samples_s": self.samples_s,
-            "metrics": self.metrics,
-        }
-        if self.profile is not None:
-            out["profile"] = self.profile
-        return out
+    factory: Callable[[], BenchSetup]
 
 
 def wide_scenario(num_queues: int = WIDE_QUEUES,
                   num_slots: int = WIDE_SLOTS):
-    """The 128-queue Bernoulli stressor shared with
-    ``benchmarks/bench_workloads.py`` — wide enough that per-slot loop
+    """The 128-queue Bernoulli stressor — wide enough that per-slot loop
     overhead, not the workload, dominates."""
     from repro.workloads import Scenario
 
@@ -121,52 +89,14 @@ def wide_scenario(num_queues: int = WIDE_QUEUES,
         num_slots=num_slots, seed=1)
 
 
-def _registered_scenario_setup(scenario_name: str, engine: str,
-                               quick: bool) -> BenchSetup:
-    from repro.workloads.registry import get_scenario
-
-    scenario = get_scenario(scenario_name)
-    slots = QUICK_SCENARIO_SLOTS if quick else scenario.num_slots
-
-    def thunk():
-        return scenario.run(num_slots=slots, engine=engine)
-
-    return thunk, {"slots": slots, "scheme": scenario.scheme,
-                   "scenario": scenario_name, "engine": engine}
-
-
-def _wide_setup(engine: str, quick: bool) -> BenchSetup:
-    slots = QUICK_WIDE_SLOTS if quick else WIDE_SLOTS
-    scenario = wide_scenario(num_slots=slots)
+def _wide_setup(engine: str) -> BenchSetup:
+    scenario = wide_scenario()
 
     def thunk():
         return scenario.run(engine=engine)
 
-    return thunk, {"slots": slots, "scheme": scenario.scheme,
+    return thunk, {"slots": WIDE_SLOTS, "scheme": scenario.scheme,
                    "queues": WIDE_QUEUES, "engine": engine}
-
-
-def _mma_setup(policy: str, quick: bool) -> BenchSetup:
-    from repro.mma.ecqf import ECQF
-    from repro.mma.mdqf import MDQF
-    from repro.rads.config import RADSConfig
-    from repro.rads.head_buffer import RADSHeadBuffer
-    from repro.traffic.arbiters import RoundRobinAdversary
-
-    slots = QUICK_MMA_SLOTS if quick else MMA_SLOTS
-    mma_cls = {"ecqf": ECQF, "mdqf": MDQF}[policy]
-
-    def thunk():
-        config = RADSConfig(num_queues=MMA_QUEUES,
-                            granularity=MMA_GRANULARITY, strict=False)
-        buffer = RADSHeadBuffer(config, mma=mma_cls())
-        adversary = RoundRobinAdversary(MMA_QUEUES)
-        unbounded = [10 ** 9] * MMA_QUEUES
-        return buffer.run(adversary.next_request(slot, unbounded)
-                          for slot in range(slots))
-
-    return thunk, {"slots": slots, "policy": policy,
-                   "queues": MMA_QUEUES, "granularity": MMA_GRANULARITY}
 
 
 def switch_bench_scenario(num_slots: int = SWITCH_SLOTS):
@@ -192,20 +122,19 @@ def switch_bench_scenario(num_slots: int = SWITCH_SLOTS):
         num_slots=num_slots, seed=3)
 
 
-def _switch_setup(jobs: int, quick: bool) -> BenchSetup:
+def _switch_setup(jobs: int) -> BenchSetup:
     from repro.switch import SwitchModel
 
-    slots = QUICK_SWITCH_SLOTS if quick else SWITCH_SLOTS
-    scenario = switch_bench_scenario(num_slots=slots)
+    scenario = switch_bench_scenario()
 
     def thunk():
         return SwitchModel(scenario).run(jobs=jobs)
 
     # ``slots`` counts simulated port-slots so kslots/s stays comparable
     # with the single-port benchmarks.
-    return thunk, {"slots": slots * SWITCH_PORTS, "arrival_slots": slots,
-                   "ports": SWITCH_PORTS, "scheme": "cfds", "jobs": jobs,
-                   "engine": "array"}
+    return thunk, {"slots": SWITCH_SLOTS * SWITCH_PORTS,
+                   "arrival_slots": SWITCH_SLOTS, "ports": SWITCH_PORTS,
+                   "scheme": "cfds", "jobs": jobs, "engine": "array"}
 
 
 def stream_scenario(num_slots: int = STREAM_SLOTS):
@@ -226,167 +155,86 @@ def stream_scenario(num_slots: int = STREAM_SLOTS):
         num_slots=num_slots, seed=7)
 
 
-def _stream_setup(engine: str, quick: bool,
-                  checkpoint: bool = False) -> BenchSetup:
+def _stream_setup(checkpoint: bool) -> BenchSetup:
     import os
     import tempfile
 
-    slots = QUICK_STREAM_SLOTS if quick else STREAM_SLOTS
-    scenario = stream_scenario(num_slots=slots)
-    every = max(slots // 4, 1)
+    scenario = stream_scenario()
+    every = STREAM_SLOTS // 4
 
     if checkpoint:
         def thunk():
             with tempfile.TemporaryDirectory() as tmpdir:
                 return scenario.run_stream(
-                    engine=engine, chunk_slots=STREAM_CHUNK_SLOTS,
+                    engine="array", chunk_slots=STREAM_CHUNK_SLOTS,
                     checkpoint_every=every,
                     checkpoint_path=os.path.join(tmpdir, "bench.ckpt.json"))
     else:
         def thunk():
-            return scenario.run_stream(engine=engine,
+            return scenario.run_stream(engine="array",
                                        chunk_slots=STREAM_CHUNK_SLOTS)
 
-    metrics = {"slots": slots, "scheme": "rads", "engine": engine,
+    metrics = {"slots": STREAM_SLOTS, "scheme": "rads", "engine": "array",
                "chunk_slots": STREAM_CHUNK_SLOTS, "stream": True}
     if checkpoint:
         metrics["checkpoint_every"] = every
     return thunk, metrics
 
 
-def _fabric_setup(quick: bool) -> BenchSetup:
-    from repro.switch import run_fabric
-
-    slots = QUICK_FABRIC_SLOTS if quick else FABRIC_SLOTS
-    scenario = switch_bench_scenario(num_slots=slots)
-
-    def thunk():
-        return run_fabric(scenario)
-
-    return thunk, {"slots": slots, "ports": SWITCH_PORTS, "fabric": "islip"}
-
-
-def _case(name: str, description: str, factory) -> BenchCase:
-    return BenchCase(name=name, description=description, factory=factory)
-
-
 #: The fixed suite, in reporting order.
 SUITE: Tuple[BenchCase, ...] = (
-    _case("scenario/uniform-bernoulli/reference",
-          "registered RADS scenario, reference per-slot loop",
-          lambda quick: _registered_scenario_setup(
-              "uniform-bernoulli", "reference", quick)),
-    _case("scenario/uniform-bernoulli/batched",
-          "registered RADS scenario, batched fast path",
-          lambda quick: _registered_scenario_setup(
-              "uniform-bernoulli", "batched", quick)),
-    _case("scenario/uniform-bernoulli/array",
-          "registered RADS scenario, struct-of-arrays engine",
-          lambda quick: _registered_scenario_setup(
-              "uniform-bernoulli", "array", quick)),
-    _case("scenario/uniform-bernoulli/numpy",
-          "registered RADS scenario, numpy engine (array core + span kernel)",
-          lambda quick: _registered_scenario_setup(
-              "uniform-bernoulli", "numpy", quick)),
-    _case("scenario/markov-onoff/batched",
-          "registered CFDS scenario (DSS + latency register), batched",
-          lambda quick: _registered_scenario_setup(
-              "markov-onoff", "batched", quick)),
-    _case("scenario/markov-onoff/array",
-          "registered CFDS scenario (DSS + latency register), array engine",
-          lambda quick: _registered_scenario_setup(
-              "markov-onoff", "array", quick)),
-    _case("wide-128/batched",
-          "128-queue Bernoulli stressor, batched fast path",
-          lambda quick: _wide_setup("batched", quick)),
-    _case("wide-128/array",
-          "128-queue Bernoulli stressor, struct-of-arrays engine",
-          lambda quick: _wide_setup("array", quick)),
-    _case("wide-128/numpy",
-          "128-queue Bernoulli stressor, numpy engine (array core + span kernel)",
-          lambda quick: _wide_setup("numpy", quick)),
-    _case("mma-ablation/ecqf",
-          "head-only worst case under ECQF (paper policy)",
-          lambda quick: _mma_setup("ecqf", quick)),
-    _case("mma-ablation/mdqf",
-          "head-only worst case under MDQF (ablation policy)",
-          lambda quick: _mma_setup("mdqf", quick)),
-    _case("switch/fabric-stage",
-          "crossbar fabric stage alone (serial, iSLIP, 8 ports)",
-          lambda quick: _fabric_setup(quick)),
-    _case("switch/cfds-8port/jobs1",
-          "8-port CFDS switch, ports run serially",
-          lambda quick: _switch_setup(1, quick)),
-    _case("switch/cfds-8port/jobs4",
-          "8-port CFDS switch, ports sharded over 4 workers",
-          lambda quick: _switch_setup(4, quick)),
-    _case("stream/long-horizon/batched",
-          "long-horizon streamed run, batched engine, chunked plans",
-          lambda quick: _stream_setup("batched", quick)),
-    _case("stream/long-horizon/array",
-          "long-horizon streamed run, struct-of-arrays engine",
-          lambda quick: _stream_setup("array", quick)),
-    _case("stream/long-horizon/numpy",
-          "long-horizon streamed run, numpy engine (array core + span kernel)",
-          lambda quick: _stream_setup("numpy", quick)),
-    _case("stream/long-horizon/array-checkpointed",
-          "streamed run writing 3 resumable checkpoints along the way",
-          lambda quick: _stream_setup("array", quick, checkpoint=True)),
+    BenchCase("wide-128/batched",
+              "128-queue Bernoulli stressor, batched fast path",
+              lambda: _wide_setup("batched")),
+    BenchCase("wide-128/array",
+              "128-queue Bernoulli stressor, struct-of-arrays engine",
+              lambda: _wide_setup("array")),
+    BenchCase("wide-128/numpy",
+              "128-queue Bernoulli stressor, numpy engine "
+              "(array core + span kernel)",
+              lambda: _wide_setup("numpy")),
+    BenchCase("switch/cfds-8port/jobs1",
+              "8-port CFDS switch, ports run serially",
+              lambda: _switch_setup(1)),
+    BenchCase("switch/cfds-8port/jobs2",
+              "8-port CFDS switch, ports sharded over 2 workers",
+              lambda: _switch_setup(2)),
+    BenchCase("stream/long-horizon/array",
+              "long-horizon streamed run, struct-of-arrays engine",
+              lambda: _stream_setup(checkpoint=False)),
+    BenchCase("stream/long-horizon/array-checkpointed",
+              "streamed run writing 3 resumable checkpoints along the way",
+              lambda: _stream_setup(checkpoint=True)),
 )
 
-#: Ratios derived from pairs of benchmark medians (numerator / denominator —
-#: the speedup trajectory the acceptance criteria track).  The fourth
-#: element is the regression *direction* the compare gate uses: a speedup
-#: ratio regressed when it falls (``higher_better``), an overhead ratio
-#: regressed when it rises (``lower_better``).
+#: Ratios derived from pairs of benchmark medians (numerator / denominator),
+#: every one gated by the CI perf gate.  The fourth element is the
+#: regression *direction* the compare gate uses: a speedup ratio regressed
+#: when it falls (``higher_better``), an overhead ratio regressed when it
+#: rises (``lower_better``).
 DERIVED_RATIOS: Tuple[Tuple[str, str, str, str], ...] = (
     ("wide-128-speedup-array-over-batched", "wide-128/batched",
      "wide-128/array", "higher_better"),
     ("wide-128-speedup-numpy-over-array", "wide-128/array",
      "wide-128/numpy", "higher_better"),
-    ("stream-speedup-numpy-over-array", "stream/long-horizon/array",
-     "stream/long-horizon/numpy", "higher_better"),
-    ("uniform-speedup-array-over-batched",
-     "scenario/uniform-bernoulli/batched",
-     "scenario/uniform-bernoulli/array", "higher_better"),
-    ("uniform-speedup-batched-over-reference",
-     "scenario/uniform-bernoulli/reference",
-     "scenario/uniform-bernoulli/batched", "higher_better"),
-    ("switch-scaling-jobs4-over-jobs1", "switch/cfds-8port/jobs1",
-     "switch/cfds-8port/jobs4", "higher_better"),
-    ("stream-speedup-array-over-batched", "stream/long-horizon/batched",
-     "stream/long-horizon/array", "higher_better"),
+    ("switch-scaling-jobs2-over-jobs1", "switch/cfds-8port/jobs1",
+     "switch/cfds-8port/jobs2", "higher_better"),
     ("stream-checkpoint-overhead", "stream/long-horizon/array-checkpointed",
      "stream/long-horizon/array", "lower_better"),
 )
 
 
-def run_suite(quick: bool = False,
-              repeats: Optional[int] = None,
-              name_filter: Optional[str] = None,
-              profile: bool = False,
-              profile_top: Optional[int] = None) -> Dict[str, Any]:
-    """Run the suite and return the JSON-serialisable result document.
-
-    With ``profile=True`` every selected benchmark is run once more under
-    :mod:`cProfile` *after* the timed repetitions (profiler overhead must
-    never pollute the medians) and its hottest frames land in the result's
-    ``profile`` list.
-    """
-    from repro.obs.profile import DEFAULT_TOP, profile_call
+def run_suite(repeats: int = 5,
+              name_filter: Optional[str] = None) -> Dict[str, Any]:
+    """Run the suite and return the JSON-serialisable result document."""
     from repro.obs.trace import emit as trace_emit
 
-    if repeats is None:
-        repeats = 3 if quick else 5
     if repeats < 1:
         raise ValidationError("repeats must be at least 1")
-    if profile_top is None:
-        profile_top = DEFAULT_TOP
     selected = [case for case in SUITE
                 if name_filter is None or name_filter in case.name]
-    setups = [case.factory(quick) for case in selected]
-    trace_emit("bench_start", quick=quick, repeats=repeats,
-               cases=len(selected), profile=profile)
+    setups = [case.factory() for case in selected]
+    trace_emit("bench_start", repeats=repeats, cases=len(selected))
     # Interleave the repetitions (round 0 of every case, then round 1, ...)
     # instead of timing each case's repeats back to back: slow drift in
     # machine load then lands on every case roughly equally, which is what
@@ -398,23 +246,20 @@ def run_suite(quick: bool = False,
             started = time.perf_counter()
             thunk()
             all_samples[index].append(time.perf_counter() - started)
-    results: List[BenchResult] = []
-    for case, (thunk, metrics), samples in zip(selected, setups, all_samples):
+    # Per benchmark, the median of its samples is the headline number.
+    benchmarks: List[Dict[str, Any]] = []
+    for case, (_thunk, metrics), samples in zip(selected, setups,
+                                                all_samples):
         median = statistics.median(samples)
-        slots = metrics.get("slots")
-        if slots:
-            metrics["kslots_per_s"] = round(slots / median / 1e3, 2)
-        frames = profile_call(thunk, top=profile_top) if profile else None
+        metrics["kslots_per_s"] = round(metrics["slots"] / median / 1e3, 2)
         trace_emit("bench_case", name=case.name,
                    median_s=round(median, 6),
-                   kslots_per_s=metrics.get("kslots_per_s"))
-        results.append(BenchResult(name=case.name,
-                                   description=case.description,
-                                   median_s=median,
-                                   samples_s=samples,
-                                   metrics=metrics,
-                                   profile=frames))
-    medians = {result.name: result.median_s for result in results}
+                   kslots_per_s=metrics["kslots_per_s"])
+        benchmarks.append({"name": case.name,
+                           "description": case.description,
+                           "median_s": median, "samples_s": samples,
+                           "metrics": metrics})
+    medians = {bench["name"]: bench["median_s"] for bench in benchmarks}
     derived: Dict[str, float] = {}
     directions: Dict[str, str] = {}
     for label, numerator, denominator, direction in DERIVED_RATIOS:
@@ -424,17 +269,16 @@ def run_suite(quick: bool = False,
     return {
         "schema": SCHEMA,
         "suite": "repro-bench",
-        "quick": quick,
         "repeats": repeats,
         "created_unix": time.time(),
         "python": sys.version.split()[0],
         "platform": platform.platform(),
-        # Interprets the sharding ratios: on a single-CPU machine the
-        # jobs4/jobs1 pair is expected to be ~1x (sharding is overhead-
-        # neutral); real scaling shows wherever cpus > 1.  Affinity-aware —
-        # the same count that caps the SweepRunner pool doing the sharding.
+        # Interprets the sharding ratio: jobs2/jobs1 measures scaling only
+        # where cpus >= 2 (the compare gate reports it as n/a otherwise).
+        # Affinity-aware — the same count that caps the SweepRunner pool
+        # doing the sharding.
         "cpus": available_cpus(),
-        "benchmarks": [result.as_json() for result in results],
+        "benchmarks": benchmarks,
         "derived": derived,
         # Regression direction per derived ratio — what the compare gate
         # (repro bench --compare --fail-on-regression) keys on.
@@ -459,25 +303,15 @@ def render_results(document: Mapping[str, Any]) -> str:
         rows.append([
             bench["name"],
             f"{bench['median_s'] * 1e3:.1f}",
-            metrics.get("kslots_per_s", "-"),
-            metrics.get("slots", "-"),
+            metrics["kslots_per_s"],
+            metrics["slots"],
         ])
-    mode = "quick" if document["quick"] else "full"
     table = format_table(
         ["benchmark", "median (ms)", "kslots/s", "slots"], rows,
-        title=f"repro bench — {mode} suite, {document['repeats']} repeats")
+        title=f"repro bench — {document['repeats']} repeats")
     lines = [table]
     if document["derived"]:
         lines.append("")
         for label, value in document["derived"].items():
             lines.append(f"{label}: {value:.3f}x")
-    if any("profile" in bench for bench in document["benchmarks"]):
-        from repro.obs.profile import render_profile
-
-        lines.append("")
-        lines.append("hot frames (self-time, per benchmark):")
-        for bench in document["benchmarks"]:
-            if bench.get("profile"):
-                lines.append(f"  {bench['name']}:")
-                lines.append(render_profile(bench["profile"]))
     return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Run observability: metrics registry, structured traces, perf trajectory.
+"""Run observability: metrics registry and structured run traces.
 
 An always-available, zero-overhead-when-disabled layer threaded through
 every execution path:
@@ -10,24 +10,16 @@ every execution path:
 * :mod:`repro.obs.trace` — timestamped NDJSON run-trace events
   (``--trace-out trace.ndjson``) plus the ``repro trace summarize``
   inspector.
-* :mod:`repro.obs.compare` — ``repro bench --compare`` snapshot diffing
-  with a direction-aware ``--fail-on-regression`` gate.
-* :mod:`repro.obs.profile` — cProfile hot-frame capture for
-  ``repro bench --profile``.
+
+The perf trajectory (``repro bench`` and its ``--compare`` gate) lives in
+:mod:`repro.bench`, and per-layer wall-time attribution in the benchmark's
+traced runs (``perfbench/run.py --trace 1``).
 
 The layer's hard invariant: enabling any of it never touches an RNG stream
 and never changes a report — pinned by the differential fuzzer running with
 metrics enabled.
 """
 
-from repro.obs.compare import (
-    BenchCompareError,
-    compare_documents,
-    load_bench_document,
-    ratio_direction,
-    ratio_regressions,
-    render_compare,
-)
 from repro.obs.metrics import (
     MetricsRegistry,
     disable_metrics,
@@ -36,7 +28,6 @@ from repro.obs.metrics import (
     render_metrics,
     using_metrics,
 )
-from repro.obs.profile import profile_call, render_profile
 from repro.obs.trace import (
     TraceWriter,
     emit,
@@ -49,23 +40,15 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "BenchCompareError",
     "MetricsRegistry",
     "TraceWriter",
-    "compare_documents",
     "disable_metrics",
     "emit",
     "enable_metrics",
     "get_metrics",
     "get_trace",
-    "load_bench_document",
-    "profile_call",
-    "ratio_direction",
-    "ratio_regressions",
     "read_events",
-    "render_compare",
     "render_metrics",
-    "render_profile",
     "render_trace_summary",
     "set_trace",
     "summarize_trace",

@@ -40,7 +40,7 @@ event                  emitted by
 ``fuzz_case``          per differential fuzz case
 ``fuzz_divergence``    per diverging fuzz *leg*
 ``fuzz_end``           ``fuzz_many`` exit (case/divergence counts)
-``bench_start``        ``run_suite`` entry (mode, repeats, case count)
+``bench_start``        ``run_suite`` entry (repeats, case count)
 ``bench_case``         per benchmark of ``repro bench``
 ``trace_close``        the writer itself, on close
 =====================  =================================================

@@ -45,11 +45,9 @@ and differentially fuzz random specs across every engine::
 
 and track the performance trajectory::
 
-    python -m repro bench                 # fixed suite -> BENCH_9.json
-    python -m repro bench --quick         # reduced slots (CI perf-smoke)
+    python -m repro bench                 # fixed suite -> bench-current.json
     python -m repro bench --filter wide   # a subset of the suite
-    python -m repro bench --compare BENCH_9.json --fail-on-regression 25
-    python -m repro bench --profile       # cProfile hot frames per benchmark
+    python -m repro bench --compare BENCH_16.json --fail-on-regression 25
 
 and observe what any run did::
 
@@ -174,9 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="list the registered scenarios and exit")
     scenario.add_argument("--slots", type=int, default=None, metavar="N",
                           help="override the scenario's slot count")
-    scenario.add_argument("--legacy-loop", action="store_true",
-                          help="use the reference per-slot loop instead of "
-                               "the batched fast path")
     scenario.add_argument("--engine", default=None, metavar="NAME",
                           help="simulation core to use: reference, batched, "
                                "array, or numpy (default: batched; all "
@@ -320,30 +315,21 @@ def build_parser() -> argparse.ArgumentParser:
     bench = subparsers.add_parser(
         BENCH, parents=[obs],
         help="run the perf-trajectory benchmark suite",
-        description=("Time the fixed benchmark suite (scenario loops on "
-                     "every engine, the wide-queue stressor, the MMA "
-                     "ablation) and write per-benchmark medians to a JSON "
-                     "snapshot for cross-PR comparison.  --compare diffs "
-                     "against a committed baseline; --fail-on-regression "
-                     "turns the diff into an exit-1 gate on the derived "
-                     "ratios."))
-    bench.add_argument("--quick", action="store_true",
-                       help="reduced slot counts (the CI perf-smoke mode)")
-    bench.add_argument("--repeats", type=int, default=None, metavar="N",
-                       help="timing repetitions per benchmark "
-                            "(default: 5, or 3 with --quick)")
+        description=("Time the fixed benchmark suite (the cases behind "
+                     "the gated ratios: the wide-queue stressor per engine, "
+                     "the 8-port CFDS switch serial vs sharded, a streamed "
+                     "run with and without checkpoints) and write "
+                     "per-benchmark medians to a JSON snapshot.  --compare "
+                     "diffs against a committed baseline; "
+                     "--fail-on-regression turns the diff into an exit-1 "
+                     "gate on the derived ratios."))
+    bench.add_argument("--repeats", type=int, default=5, metavar="N",
+                       help="timing repetitions per benchmark (default: 5)")
     bench.add_argument("--filter", default=None, metavar="SUBSTR",
                        dest="name_filter",
                        help="only run benchmarks whose name contains SUBSTR")
     bench.add_argument("--list", action="store_true", dest="list_benchmarks",
                        help="list the suite's benchmarks and exit")
-    bench.add_argument("--profile", action="store_true",
-                       help="run every benchmark once more under cProfile "
-                            "(after the timed repeats) and record the "
-                            "hottest frames in the snapshot")
-    bench.add_argument("--profile-top", type=int, default=None, metavar="N",
-                       help="frames recorded per profiled benchmark "
-                            "(default: 10)")
     bench.add_argument("--compare", default=None, metavar="BASELINE.json",
                        help="diff the fresh results (or --against CURRENT) "
                             "against this committed snapshot")
@@ -362,8 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write the compare report as JSON to FILE "
                             "(the CI artifact)")
     bench.add_argument("-o", "--output", default=None, metavar="FILE",
-                       help="JSON snapshot path (default: BENCH_9.json; "
-                            "'-' to skip writing the file)")
+                       help="JSON snapshot path (default: "
+                            "bench-current.json; '-' to skip writing the "
+                            "file; a committed baseline is an explicit "
+                            "BENCH_<n>.json)")
 
     trace = subparsers.add_parser(
         TRACE, help="inspect an NDJSON run trace written with --trace-out",
@@ -478,10 +466,6 @@ def _run_scenario_command(parser: argparse.ArgumentParser,
     if args.name is None:
         parser.error("scenario: a NAME is required (or use --list)")
 
-    if (args.legacy_loop and args.engine is not None
-            and args.engine != "reference"):
-        parser.error("--legacy-loop selects the reference loop and "
-                     f"conflicts with --engine {args.engine}")
     streaming = (args.stream or args.warmup > 0
                  or args.checkpoint_every is not None
                  or args.checkpoint is not None
@@ -508,8 +492,6 @@ def _run_scenario_command(parser: argparse.ArgumentParser,
     try:
         scenario = get_scenario(args.name)
         engine = args.engine
-        if engine is None:
-            engine = "reference" if args.legacy_loop else "batched"
         if args.resume is not None:
             from repro.sim.streaming import read_checkpoint, resume_stream
 
@@ -518,10 +500,10 @@ def _run_scenario_command(parser: argparse.ArgumentParser,
             # ignored (--checkpoint-every/--checkpoint remain overridable).
             if (args.slots is not None or args.engine is not None
                     or args.warmup or args.chunk_slots is not None
-                    or args.stream or args.legacy_loop):
+                    or args.stream):
                 parser.error("--resume restores the run's own configuration; "
                              "it conflicts with --slots/--engine/"
-                             "--legacy-loop/--warmup/--chunk-slots/--stream")
+                             "--warmup/--chunk-slots/--stream")
             meta = read_checkpoint(args.resume)
             if meta.get("label") is not None and meta["label"] != args.name:
                 print(f"error: {args.resume} is a checkpoint of scenario "
@@ -702,7 +684,7 @@ def _run_bench_command(parser: argparse.ArgumentParser,
         run_suite,
         write_results,
     )
-    from repro.obs.compare import (
+    from repro.bench.compare import (
         compare_documents,
         load_bench_document,
         ratio_regressions,
@@ -716,10 +698,8 @@ def _run_bench_command(parser: argparse.ArgumentParser,
             title="Perf-trajectory benchmark suite")
         print(table)
         return 0
-    if args.repeats is not None and args.repeats < 1:
+    if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    if args.profile_top is not None and args.profile_top < 1:
-        parser.error("--profile-top must be at least 1")
     if args.against is not None and args.compare is None:
         parser.error("--against needs --compare BASELINE.json to diff "
                      "against")
@@ -739,10 +719,8 @@ def _run_bench_command(parser: argparse.ArgumentParser,
             # Pure snapshot diff: nothing is run.
             document = load_bench_document(args.against)
         else:
-            document = run_suite(quick=args.quick, repeats=args.repeats,
-                                 name_filter=args.name_filter,
-                                 profile=args.profile,
-                                 profile_top=args.profile_top)
+            document = run_suite(repeats=args.repeats,
+                                 name_filter=args.name_filter)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

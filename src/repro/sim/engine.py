@@ -2,9 +2,9 @@
 
 Three execution paths produce bit-identical reports:
 
-* the **reference per-slot loop** (``engine="reference"``, a.k.a.
-  ``fast_path=False``) — one attribute lookup and one backlog rebuild per
-  slot; the behavioural ground truth;
+* the **reference per-slot loop** (``engine="reference"``) — one
+  attribute lookup and one backlog rebuild per slot; the behavioural
+  ground truth;
 * the **batched fast path** (``engine="batched"``, the default) — arrivals
   are pre-generated into an array before the loop (arrival processes depend
   only on their own state, never on the buffer), the per-queue backlog the
@@ -106,23 +106,21 @@ class ClosedLoopSimulation:
 
     # ------------------------------------------------------------------ #
     def run(self, num_slots: int, drain: bool = True,
-            fast_path: bool = True,
             engine: Optional[str] = None) -> SimulationReport:
         """Simulate ``num_slots`` slots (plus an optional final drain).
 
         Args:
             num_slots: slots to simulate.
             drain: run idle slots afterwards until the pipeline is empty.
-            fast_path: legacy selector — ``False`` picks the reference
-                per-slot loop.  Ignored when ``engine`` is given.
-            engine: ``"reference"``, ``"batched"`` (default) or ``"array"``
+            engine: ``"reference"``, ``"batched"`` (default), ``"array"``
                 (the struct-of-arrays core, which requires a freshly built
-                buffer).  All three produce bit-identical reports.
+                buffer) or ``"numpy"`` (the array core plus the C span
+                kernel).  All four produce bit-identical reports.
         """
         if num_slots < 0:
             raise ConfigurationError("num_slots must be non-negative")
         if engine is None:
-            engine = "batched" if fast_path else "reference"
+            engine = "batched"
         from repro.sim.array_engine import ENGINES
 
         if engine not in ENGINES:

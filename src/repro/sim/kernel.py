@@ -82,7 +82,9 @@ SANITIZE_ENV = "REPRO_SPAN_KERNEL_SANITIZE"
 
 #: Spans shorter than this stay on the array core's scalar loop — the
 #: per-span state marshalling is O(state), so tiny chunks would pay more
-#: moving state than simulating it.
+#: moving state than simulating it.  Measured break-even: ~240 slots at 32
+#: queues, ~370 at 128 (docs/architecture.md, "Where the 192-slot
+#: threshold stands"); both within 2x, so the value stands.
 MIN_KERNEL_SLOTS = 192
 
 _SOURCE = Path(__file__).with_name("_spankernel.c")

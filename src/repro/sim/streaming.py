@@ -87,7 +87,8 @@ class StreamingSimulation:
             :meth:`~repro.sim.engine.ClosedLoopSimulation.run` would run).
         num_slots: total arrival/request slots, or ``None`` for an
             open-ended session driven by :meth:`feed`.
-        engine: ``"reference"``, ``"batched"`` (default) or ``"array"``.
+        engine: ``"reference"``, ``"batched"`` (default), ``"array"`` or
+            ``"numpy"``.
         drain: run the drain window in :meth:`finish`.
         chunk_slots: window size of chunked execution.
         warmup_slots: slots to discard from the measurement statistics.

@@ -199,19 +199,17 @@ class Scenario:
     def run(self,
             *,
             num_slots: Optional[int] = None,
-            fast_path: bool = True,
             record_trace: bool = False,
             engine: Optional[str] = None) -> SimulationReport:
         """Build everything fresh and simulate the scenario once.
 
         ``engine`` selects the simulation core (``"reference"``,
-        ``"batched"`` or ``"array"``); when omitted, ``fast_path`` picks
-        between the reference and batched loops as before.  All engines
-        produce bit-identical reports.
+        ``"batched"``, ``"array"`` or ``"numpy"``); all engines produce
+        bit-identical reports.
         """
         sim = self.build_simulation(record_trace=record_trace)
         return sim.run(self.num_slots if num_slots is None else num_slots,
-                       fast_path=fast_path, engine=engine)
+                       engine=engine)
 
     def run_stream(self,
                    *,
@@ -353,7 +351,6 @@ class ScenarioResult:
 
 
 def run_scenario_spec(spec: Mapping[str, Any],
-                      fast_path: bool = True,
                       engine: Optional[str] = None,
                       stream: bool = False,
                       chunk_slots: Optional[int] = None,
@@ -373,7 +370,7 @@ def run_scenario_spec(spec: Mapping[str, Any],
     """
     scenario = Scenario.from_spec(spec)
     if not stream:
-        report = scenario.run(fast_path=fast_path, engine=engine)
+        report = scenario.run(engine=engine)
         return ScenarioResult.from_report(scenario.name, scenario.scheme,
                                           report)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.compare import (
+from repro.bench.compare import (
     HIGHER_BETTER,
     LOWER_BETTER,
     BenchCompareError,
@@ -17,13 +17,11 @@ from repro.obs.compare import (
 )
 
 
-def make_document(medians, derived, directions=None, quick=True,
-                  slots=1500):
+def make_document(medians, derived, directions=None, slots=1500):
     """A minimal valid bench document (medians in seconds)."""
     document = {
         "suite": "repro-bench",
         "schema": 1,
-        "quick": quick,
         "repeats": 3,
         "benchmarks": [
             {"name": name, "median_s": median, "samples_s": [median],
@@ -97,12 +95,12 @@ class TestCompare:
         assert report["missing_in_baseline"] == []
 
     def test_median_delta_suppressed_across_slot_counts(self):
-        baseline = make_document({"a": 0.10}, {}, quick=False, slots=50000)
-        current = make_document({"a": 0.01}, {}, quick=True, slots=1500)
+        baseline = make_document({"a": 0.10}, {}, slots=50000)
+        current = make_document({"a": 0.01}, {}, slots=1500)
         row = compare_documents(baseline, current)["benchmarks"][0]
         assert row["slots_match"] is False
         assert row["median_delta_pct"] is None
-        # Throughput stays comparable across quick/full.
+        # Throughput stays comparable across slot counts.
         assert row["kslots_delta_pct"] is not None
 
     def test_disjoint_benchmarks_are_listed_not_diffed(self):
@@ -181,16 +179,17 @@ class TestGate:
 
 
 class TestShardingRatioCpus:
-    """``...-jobs4-over-jobs1`` measures scaling only where both snapshots
-    had at least 4 CPUs; otherwise it is reported as not applicable."""
+    """``...-jobsN-over-jobs1`` measures scaling only where both snapshots
+    had at least N CPUs; otherwise it is reported as not applicable."""
 
     NAME = "switch-scaling-jobs4-over-jobs1"
+    GATED = "switch-scaling-jobs2-over-jobs1"
 
-    def report(self, base_cpus, cur_cpus, base=2.0, cur=1.0):
-        baseline = make_document({}, {self.NAME: base},
-                                 directions={self.NAME: HIGHER_BETTER})
-        current = make_document({}, {self.NAME: cur},
-                                directions={self.NAME: HIGHER_BETTER})
+    def report(self, base_cpus, cur_cpus, base=2.0, cur=1.0, name=NAME):
+        baseline = make_document({}, {name: base},
+                                 directions={name: HIGHER_BETTER})
+        current = make_document({}, {name: cur},
+                                directions={name: HIGHER_BETTER})
         baseline["cpus"] = base_cpus
         current["cpus"] = cur_cpus
         return compare_documents(baseline, current)
@@ -219,6 +218,25 @@ class TestShardingRatioCpus:
         text = render_compare(report, threshold_pct=10, failures=failures)
         assert "n/a" not in text
         assert "<< REGRESSION" in text
+
+    @pytest.mark.parametrize("base_cpus, cur_cpus", [(1, 2), (2, 1), (1, 1)])
+    def test_jobs2_on_one_cpu_is_not_applicable(self, base_cpus, cur_cpus):
+        report = self.report(base_cpus, cur_cpus, name=self.GATED)
+        row = report["ratios"][0]
+        assert row["not_applicable"] == "cpus < 2"
+        assert ratio_regressions(report, threshold_pct=25,
+                                 ratio_names=[self.GATED]) == []
+
+    def test_jobs2_without_scaling_fails_the_ci_gate(self):
+        """On two CPUs a sharded run no faster than the serial one (the
+        committed baseline scales ~1.5x) fails ``--fail-on-regression 25``:
+        the sharding gate can fail where CI runs it."""
+        report = self.report(2, 2, base=1.5, cur=1.02, name=self.GATED)
+        row = report["ratios"][0]
+        assert row["not_applicable"] is None
+        failures = ratio_regressions(report, threshold_pct=25,
+                                     ratio_names=[self.GATED])
+        assert [f["name"] for f in failures] == [self.GATED]
 
     def test_ratios_without_a_job_count_ignore_cpus(self):
         baseline = make_document({}, {"speedup": 5.0},

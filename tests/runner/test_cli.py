@@ -141,7 +141,7 @@ class TestScenarioCommand:
         assert main(["scenario", "uniform-bernoulli", "--slots", "600"]) == 0
         fast = capsys.readouterr().out
         assert main(["scenario", "uniform-bernoulli", "--slots", "600",
-                     "--legacy-loop"]) == 0
+                     "--engine", "reference"]) == 0
         legacy = capsys.readouterr().out
         assert fast == legacy
 
@@ -153,15 +153,13 @@ class TestScenarioCommand:
             reports[engine] = capsys.readouterr().out
         assert reports["reference"] == reports["batched"] == reports["array"]
 
-    def test_legacy_loop_conflicts_with_other_engines(self, capsys):
+    def test_legacy_loop_flag_is_gone(self, capsys):
+        # --engine reference is the one way to pick the reference loop.
         with pytest.raises(SystemExit) as excinfo:
-            main(["scenario", "uniform-bernoulli", "--legacy-loop",
-                  "--engine", "array"])
+            main(["scenario", "uniform-bernoulli", "--legacy-loop"])
         assert excinfo.value.code == 2
-        assert "conflicts" in capsys.readouterr().err
-        # --legacy-loop with the matching engine is redundant but consistent.
-        assert main(["scenario", "uniform-bernoulli", "--slots", "200",
-                     "--legacy-loop", "--engine", "reference"]) == 0
+        assert "unrecognized arguments: --legacy-loop" in \
+            capsys.readouterr().err
 
     def test_engine_flag_on_replay(self, tmp_path, capsys):
         trace_file = str(tmp_path / "capture.rtrc")
@@ -398,8 +396,7 @@ class TestBenchCompareCommand:
     def make_snapshot(self, path, speedup, overhead=1.0):
         import json
         document = {
-            "suite": "repro-bench", "schema": 1, "quick": True,
-            "repeats": 1,
+            "suite": "repro-bench", "schema": 1, "repeats": 1,
             "benchmarks": [
                 {"name": "wide-128/array", "median_s": 0.01,
                  "samples_s": [0.01],

@@ -3,6 +3,7 @@ object-model loops on every registered scenario and every edge mode."""
 
 import pytest
 
+from repro.bench import wide_scenario
 from repro.core.buffer import CFDSPacketBuffer
 from repro.core.config import CFDSConfig
 from repro.errors import (
@@ -48,9 +49,10 @@ def run_both(make_sim, num_slots, drain=True):
 # family and every stochastic arrival process).
 # --------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("name", scenario_names())
-def test_array_engine_identical_on_registered_scenarios(name):
-    scenario = next(s for s in all_scenarios() if s.name == name)
+@pytest.mark.parametrize(
+    "scenario", [*all_scenarios(), wide_scenario(num_slots=1500)],
+    ids=lambda scenario: scenario.name)
+def test_array_engine_identical_on_registered_scenarios(scenario):
     reference = scenario.run(engine="reference", record_trace=True)
     array = scenario.run(engine="array", record_trace=True)
     assert_reports_identical(reference, array)
@@ -346,15 +348,6 @@ def test_negative_slots_rejected():
     sim = ClosedLoopSimulation(_build_buffer("rads"))
     with pytest.raises(ConfigurationError, match="non-negative"):
         sim.run(-1, engine="array")
-
-
-def test_engine_argument_overrides_fast_path_flag():
-    """engine="reference" with fast_path=True must still use the reference
-    loop (observable through report equality with an explicit legacy run)."""
-    scenario = next(s for s in all_scenarios() if s.name == "uniform-bernoulli")
-    via_engine = scenario.run(engine="reference", num_slots=400)
-    via_flag = scenario.run(fast_path=False, num_slots=400)
-    assert_reports_identical(via_engine, via_flag)
 
 
 def _build_buffer(scheme):

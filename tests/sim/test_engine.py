@@ -75,19 +75,19 @@ class TestClosedLoopSimulation:
             sim.run(-1)
 
 
-@pytest.mark.parametrize("fast_path", [True, False],
+@pytest.mark.parametrize("engine", ["batched", "reference"],
                          ids=["fast-path", "legacy-loop"])
 class TestEdgeModes:
-    def test_fill_only_no_arbiter(self, buffer, fast_path):
+    def test_fill_only_no_arbiter(self, buffer, engine):
         """No arbiter: cells accumulate, nothing is ever served."""
         sim = ClosedLoopSimulation(buffer, BernoulliArrivals(4, load=0.8, seed=1))
-        report = sim.run(500, fast_path=fast_path)
+        report = sim.run(500, engine=engine)
         assert report.throughput.departures == 0
         assert report.throughput.idle_request_slots >= 500
         assert report.latency.count == 0
         assert sum(buffer.backlog(q) for q in range(4)) == report.throughput.arrivals
 
-    def test_drain_only_no_arrivals(self, fast_path):
+    def test_drain_only_no_arrivals(self, engine):
         """No arrivals: a pre-filled buffer drains to empty and the served
         count matches what was pre-loaded."""
         buffer = RADSPacketBuffer(RADSConfig(num_queues=4, granularity=3))
@@ -96,32 +96,32 @@ class TestEdgeModes:
             buffer.step(i % 4, None)
         sim = ClosedLoopSimulation(buffer, arrivals=None,
                                    arbiter=OldestCellArbiter(4))
-        report = sim.run(preloaded + 100, fast_path=fast_path)
+        report = sim.run(preloaded + 100, engine=engine)
         assert report.throughput.arrivals == 0
         assert report.throughput.departures == preloaded
         assert all(buffer.backlog(q) == 0 for q in range(4))
 
-    def test_empty_run_zero_slots(self, buffer, fast_path):
+    def test_empty_run_zero_slots(self, buffer, engine):
         report = ClosedLoopSimulation(buffer).run(0, drain=False,
-                                                  fast_path=fast_path)
+                                                  engine=engine)
         assert report.throughput.slots == 0
         assert report.throughput.departures == 0
 
-    def test_recorded_trace_replays_identically(self, buffer, fast_path):
+    def test_recorded_trace_replays_identically(self, buffer, engine):
         """record_trace=True: replaying the captured (arrival, request)
         sequence through a fresh identical buffer reproduces the run."""
         sim = ClosedLoopSimulation(buffer,
                                    BernoulliArrivals(4, load=0.7, seed=21),
                                    RandomArbiter(4, load=0.8, seed=22),
                                    record_trace=True)
-        original = sim.run(800, fast_path=fast_path)
+        original = sim.run(800, engine=engine)
 
         fresh = RADSPacketBuffer(RADSConfig(num_queues=4, granularity=3))
         replay = ClosedLoopSimulation(fresh,
                                       TraceArrivals(original.trace.arrivals()),
                                       TraceArbiter(original.trace.requests()),
                                       record_trace=True)
-        replayed = replay.run(len(original.trace), fast_path=fast_path)
+        replayed = replay.run(len(original.trace), engine=engine)
         assert replayed.throughput == original.throughput
         assert replayed.latency == original.latency
         assert replayed.buffer_result == original.buffer_result

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench import wide_scenario
 from repro.errors import (
     BufferOverflowError,
     ConfigurationError,
@@ -72,9 +73,10 @@ def run_both(make_sim, num_slots, drain=True):
 # The registered suite, through both kernel modes.
 # --------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("name", scenario_names())
-def test_numpy_identical_on_registered_scenarios(name, kernel_mode):
-    scenario = next(s for s in all_scenarios() if s.name == name)
+@pytest.mark.parametrize(
+    "scenario", [*all_scenarios(), wide_scenario(num_slots=1500)],
+    ids=lambda scenario: scenario.name)
+def test_numpy_identical_on_registered_scenarios(scenario, kernel_mode):
     array = scenario.run(engine="array")
     numpy = scenario.run(engine="numpy")
     assert_reports_identical(array, numpy)

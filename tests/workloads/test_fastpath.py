@@ -1,23 +1,25 @@
 """Acceptance tests: the batched fast path is bit-identical to the legacy
-per-slot loop, and recorded traces replay deterministically across variants."""
+(reference) per-slot loop, and recorded traces replay deterministically
+across variants."""
 
 import pytest
 
+from repro.bench import wide_scenario
 from repro.sim.engine import ClosedLoopSimulation
 from repro.traffic.arbiters import TraceArbiter
 from repro.traffic.arrivals import TraceArrivals
 from repro.workloads import all_scenarios, load_trace, save_trace
-from repro.workloads.registry import scenario_names
 
 
-@pytest.mark.parametrize("name", scenario_names())
-def test_fast_path_identical_to_legacy_loop(name):
+@pytest.mark.parametrize(
+    "scenario", [*all_scenarios(), wide_scenario(num_slots=1500)],
+    ids=lambda scenario: scenario.name)
+def test_fast_path_identical_to_legacy_loop(scenario):
     """The headline acceptance criterion: every statistic the report carries
     (throughput counters, the full latency histogram, the buffer-side result
     and the recorded trace) matches exactly between the two loops."""
-    scenario = next(s for s in all_scenarios() if s.name == name)
-    fast = scenario.run(fast_path=True, record_trace=True)
-    legacy = scenario.run(fast_path=False, record_trace=True)
+    fast = scenario.run(engine="batched", record_trace=True)
+    legacy = scenario.run(engine="reference", record_trace=True)
     assert fast.throughput == legacy.throughput
     assert fast.latency == legacy.latency
     assert fast.buffer_result == legacy.buffer_result

@@ -150,5 +150,5 @@ class TestScenarioResult:
 
     def test_fast_and_legacy_paths_agree(self):
         spec = _simple_scenario().to_spec()
-        assert run_scenario_spec(spec, fast_path=True) == \
-               run_scenario_spec(spec, fast_path=False)
+        assert run_scenario_spec(spec, engine="batched") == \
+               run_scenario_spec(spec, engine="reference")
